@@ -125,6 +125,15 @@ type Options struct {
 	// is reused afterwards; callers must copy pairs they retain. At
 	// most one of Emit and EmitBatch may be set.
 	EmitBatch func([]geom.Pair)
+
+	// Owner, when set, keeps only the pairs whose reference point —
+	// the larger of the two left edges — lies in the range: the shard
+	// pair-ownership rule, tested at the emit sites where both
+	// rectangles are in hand. Result.Pairs then counts owned pairs;
+	// Sweep.Pairs still counts every pair the kernel found. An empty
+	// or NaN range is an error, not a join that owns nothing;
+	// MultiwayPQ rejects the option.
+	Owner *geom.XRange
 }
 
 func (o Options) withDefaults() (Options, error) {
@@ -136,6 +145,9 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.Emit != nil && o.EmitBatch != nil {
 		return o, fmt.Errorf("core: Options.Emit and Options.EmitBatch are mutually exclusive")
+	}
+	if o.Owner != nil && !o.Owner.Valid() {
+		return o, fmt.Errorf("core: Options.Owner [%v, %v) is empty", o.Owner.Lo, o.Owner.Hi)
 	}
 	if o.MemoryBytes == 0 {
 		o.MemoryBytes = 24 << 20
@@ -163,26 +175,29 @@ func (o *Options) newStructure() sweep.Structure {
 	return sweep.NewStripedFor(o.Universe, o.Strips)
 }
 
-// emitPair multiplexes counting and the optional callback, for
-// algorithms that filter kernel output (ownership tests) and so count
-// result pairs themselves.
+// emitPair applies the owner range, then multiplexes counting and
+// the optional callback, for algorithms that count result pairs
+// themselves.
 func (o *Options) emitPair(pairs *int64, ra, rb geom.Record) {
+	if o.Owner != nil && !o.Owner.OwnsPair(ra.Rect, rb.Rect) {
+		return
+	}
 	*pairs++
 	if o.Emit != nil {
 		o.Emit(geom.Pair{Left: ra.ID, Right: rb.ID})
 	}
 }
 
-// pairSink returns the kernel callback that forwards every pair to
-// Emit, or nil for counting-only joins — the fast path where the
-// sweep kernel tallies pairs with no per-pair indirection at all and
-// the caller reads the count from sweep.Stats.
-func (o *Options) pairSink() func(ra, rb geom.Record) {
-	if o.Emit == nil {
+// pairSink returns the sweep-kernel callback that routes every pair
+// through emitPair, counting kept pairs into *pairs. It is nil for
+// unfiltered counting-only joins — the fast path where the kernel
+// tallies pairs with no per-pair indirection at all and the caller
+// reads the count from sweep.Stats.
+func (o *Options) pairSink(pairs *int64) func(ra, rb geom.Record) {
+	if o.Emit == nil && o.Owner == nil {
 		return nil
 	}
-	emit := o.Emit
-	return func(ra, rb geom.Record) { emit(geom.Pair{Left: ra.ID, Right: rb.ID}) }
+	return func(ra, rb geom.Record) { o.emitPair(pairs, ra, rb) }
 }
 
 // Result reports what a join did. Time is split the way the paper

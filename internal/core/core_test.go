@@ -559,3 +559,68 @@ func TestPBSMSortDedupMatchesReferenceTile(t *testing.T) {
 		t.Fatalf("sort dedup should cost extra writes: %d vs %d", res.IO.Writes(), ref.IO.Writes())
 	}
 }
+
+// TestOwnerRangeAtEveryEmitSite checks every core emit site — both
+// sweep sinks, emitPair in each algorithm, and PBSM's sort-dedup pair
+// stream — keeps exactly the pairs an owner range owns: the owned run
+// equals the unowned run post-filtered by the reference-point rule,
+// and its count-only run counts the same pairs. MultiwayPQ, which
+// has no pair emit site, rejects the option.
+func TestOwnerRangeAtEveryEmitSite(t *testing.T) {
+	u := geom.NewRect(0, 0, 1000, 1000)
+	e := buildEnv(t, u, genUniform(120, 1500, u, 40), genUniform(121, 1200, u, 40))
+	rects := func(recs []geom.Record) map[geom.ID]geom.Rect {
+		m := make(map[geom.ID]geom.Rect, len(recs))
+		for _, r := range recs {
+			m[r.ID] = r.Rect
+		}
+		return m
+	}
+	rectA, rectB := rects(e.recsA), rects(e.recsB)
+	owner := geom.XRange{Lo: 300, Hi: 650}
+	sortDedup := e.options()
+	sortDedup.PBSMSortDedup = true
+	for _, c := range []struct {
+		name string
+		opts Options
+		run  func(Options) (Result, error)
+	}{
+		{"PQ-trees", e.options(), func(o Options) (Result, error) { return PQ(bg, o, TreeInput(e.treeA), TreeInput(e.treeB)) }},
+		{"PQ-files", e.options(), func(o Options) (Result, error) { return PQ(bg, o, FileInput(e.fileA), FileInput(e.fileB)) }},
+		{"SSSJ", e.options(), func(o Options) (Result, error) { return SSSJ(bg, o, e.fileA, e.fileB) }},
+		{"SSSJ-part", e.options(), func(o Options) (Result, error) { return SSSJPartitioned(bg, o, e.fileA, e.fileB, 3) }},
+		{"PBSM", e.options(), func(o Options) (Result, error) { return PBSM(bg, o, e.fileA, e.fileB) }},
+		{"PBSM-sortdedup", sortDedup, func(o Options) (Result, error) { return PBSM(bg, o, e.fileA, e.fileB) }},
+		{"ST", e.options(), func(o Options) (Result, error) { return ST(bg, o, e.treeA, e.treeB) }},
+		{"BFRJ", e.options(), func(o Options) (Result, error) { return BFRJ(bg, o, e.treeA, e.treeB) }},
+		{"INL", e.options(), func(o Options) (Result, error) { return INL(bg, o, e.treeA, e.fileB) }},
+		{"SeededST", e.options(), func(o Options) (Result, error) { return SeededTreeJoin(bg, o, e.treeA, e.fileB) }},
+	} {
+		all, _ := collect(t, c.run, c.opts)
+		want := map[geom.Pair]bool{}
+		for p := range all {
+			if owner.OwnsPair(rectA[p.Left], rectB[p.Right]) {
+				want[p] = true
+			}
+		}
+		if len(want) == 0 || len(want) == len(all) {
+			t.Fatalf("%s: owner range keeps %d of %d pairs; the test needs a strict subset", c.name, len(want), len(all))
+		}
+		o := c.opts
+		o.Owner = &owner
+		got, _ := collect(t, c.run, o)
+		checkEqual(t, c.name+" owned", got, want)
+		res, err := c.run(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Pairs != int64(len(want)) {
+			t.Fatalf("%s: count-only owned run counted %d, want %d", c.name, res.Pairs, len(want))
+		}
+	}
+	o := e.options()
+	o.Owner = &owner
+	if _, err := MultiwayPQ(bg, o, []Input{TreeInput(e.treeA), TreeInput(e.treeB)}, nil); err == nil {
+		t.Fatal("MultiwayPQ must reject an owner range")
+	}
+}

@@ -42,6 +42,9 @@ func MultiwayPQ(ctx context.Context, opts Options, inputs []Input, emit func(ids
 	if len(inputs) < 2 {
 		return mres, fmt.Errorf("core: multiway join needs at least 2 inputs, got %d", len(inputs))
 	}
+	if o.Owner != nil {
+		return mres, fmt.Errorf("core: multiway join takes no owner range")
+	}
 
 	// current holds the running intersection tuples: rectangle plus the
 	// IDs contributing to it. It is y-sorted by construction.

@@ -188,6 +188,11 @@ func PBSM(ctx context.Context, opts Options, a, b *iosim.File) (Result, error) {
 			var sweepErr error
 			err = forwardSweepRecords(ctx, recsA, recsB, func(ra, rb geom.Record) {
 				if o.PBSMSortDedup {
+					// The pair stream carries IDs only, so ownership
+					// is decided here, while the rectangles are known.
+					if o.Owner != nil && !o.Owner.OwnsPair(ra.Rect, rb.Rect) {
+						return
+					}
 					if err := dupWriter.Write(geom.Pair{Left: ra.ID, Right: rb.ID}); err != nil {
 						sweepErr = err
 					}

@@ -52,13 +52,15 @@ func PQ(ctx context.Context, opts Options, a, b Input) (Result, error) {
 		defer sideB.release()
 		res.PartitionWall = time.Since(prepStart)
 		sweepStart := time.Now()
-		st, err := sweep.Join(ctx, sideA.src, sideB.src, o.newStructure(), o.newStructure(),
-			o.pairSink())
+		sink := o.pairSink(&res.Pairs)
+		st, err := sweep.Join(ctx, sideA.src, sideB.src, o.newStructure(), o.newStructure(), sink)
 		if err != nil {
 			return err
 		}
 		res.SweepWall = time.Since(sweepStart)
-		res.Pairs = st.Pairs
+		if sink == nil {
+			res.Pairs = st.Pairs
+		}
 		res.Sweep = st
 		res.SweepMaxBytes = st.MaxBytes
 		for _, side := range []pqSide{sideA, sideB} {

@@ -54,15 +54,15 @@ func SSSJ(ctx context.Context, opts Options, a, b *iosim.File) (Result, error) {
 		srcA := windowed(ctx, stream.NewReader(sortedA, stream.Records), o.Window)
 		srcB := windowed(ctx, stream.NewReader(sortedB, stream.Records), o.Window)
 		sweepStart := time.Now()
-		st, err := sweep.Join(ctx, srcA, srcB,
-			o.newStructure(), o.newStructure(),
-			o.pairSink(),
-		)
+		sink := o.pairSink(&res.Pairs)
+		st, err := sweep.Join(ctx, srcA, srcB, o.newStructure(), o.newStructure(), sink)
 		if err != nil {
 			return err
 		}
 		res.SweepWall = time.Since(sweepStart)
-		res.Pairs = st.Pairs
+		if sink == nil {
+			res.Pairs = st.Pairs
+		}
 		res.Sweep = st
 		res.SweepMaxBytes = st.MaxBytes
 		if st.MaxBytes > o.MemoryBytes {

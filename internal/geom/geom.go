@@ -156,6 +156,26 @@ func UnionAll(rs []Rect) Rect {
 	return u
 }
 
+// XRange is a half-open x-interval [Lo, Hi) that owns join pairs by
+// their reference point: the lower-x corner of the pair's
+// intersection, the larger of the two left edges. Both rectangles
+// contain that point, so ranges tiling the x-axis assign every
+// intersecting pair to exactly one of them.
+type XRange struct {
+	Lo, Hi Coord
+}
+
+// Valid reports whether the range is non-empty (Lo < Hi); a NaN bound
+// makes it invalid.
+func (r XRange) Valid() bool { return r.Lo < r.Hi }
+
+// OwnsPair reports whether the pair of a and b has its reference
+// point in the range.
+func (r XRange) OwnsPair(a, b Rect) bool {
+	ref := max(a.XLo, b.XLo)
+	return ref >= r.Lo && ref < r.Hi
+}
+
 func minc(a, b Coord) Coord {
 	if a < b {
 		return a

@@ -189,9 +189,10 @@ func Join(ctx context.Context, a, b []geom.Record, o Options) (Report, error) {
 // emitted with no ownership test (the two-layer fast path — a Local
 // record exists in exactly one stripe, so the pair cannot be seen
 // anywhere else), while boundary×boundary pairs pay the reference-
-// point test against the stripe's owner range. It fills the
-// partition's stat, no-test, and buffer slots; with collect set, the
-// output buffer is borrowed from the pairbuf pool.
+// point test against the stripe's owner range. A shard owner range
+// (Options.Owner) is tested ahead of both. It fills the partition's
+// stat, no-test, and buffer slots; with collect set, the output
+// buffer is borrowed from the pairbuf pool.
 func sweepPartition(ctx context.Context, part *Partitioner, i int, dist *distribution, o Options,
 	stats *sweep.Stats, noTest *int64, buffer *[]geom.Pair, collect bool) (int64, error) {
 	fa, fb := dist.fragsFor(i)
@@ -210,6 +211,9 @@ func sweepPartition(ctx context.Context, part *Partitioner, i int, dist *distrib
 		sweep.NewSliceSource(ra), sweep.NewSliceSource(rb),
 		o.newStructure(stripe), o.newStructure(stripe),
 		func(x, y geom.Record) {
+			if o.Owner != nil && !o.Owner.OwnsPair(x.Rect, y.Rect) {
+				return // another shard owns this pair
+			}
 			if !x.Local && !y.Local {
 				// Both records cross stripe boundaries, so the pair
 				// meets in several stripes; the reference-point test
@@ -298,8 +302,17 @@ func Serial(ctx context.Context, a, b []geom.Record, o Options) (Report, error) 
 		emit = bt.Emit
 	}
 	var sink func(x, y geom.Record)
-	if emit != nil {
-		sink = func(x, y geom.Record) { emit(geom.Pair{Left: x.ID, Right: y.ID}) }
+	var owned int64
+	if emit != nil || o.Owner != nil {
+		sink = func(x, y geom.Record) {
+			if o.Owner != nil && !o.Owner.OwnsPair(x.Rect, y.Rect) {
+				return
+			}
+			owned++
+			if emit != nil {
+				emit(geom.Pair{Left: x.ID, Right: y.ID})
+			}
+		}
 	}
 	st, sweepErr := sweep.Join(ctx,
 		sweep.NewSliceSource(sa), sweep.NewSliceSource(sb), mk(), mk(), sink)
@@ -313,7 +326,10 @@ func Serial(ctx context.Context, a, b []geom.Record, o Options) (Report, error) 
 		return Report{}, sweepErr
 	}
 	rep.Pairs = st.Pairs
-	rep.NoTestPairs = st.Pairs
+	if sink != nil {
+		rep.Pairs = owned
+	}
+	rep.NoTestPairs = rep.Pairs
 	rep.Sweep = st
 	rep.SweepWall = time.Since(sweepStart)
 	rep.Wall = time.Since(start)

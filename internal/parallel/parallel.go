@@ -124,6 +124,13 @@ type Options struct {
 	// recycled after the call returns, so callers must copy pairs they
 	// retain. At most one of Emit and EmitBatch may be set.
 	EmitBatch func([]geom.Pair)
+
+	// Owner, when set, keeps only the pairs whose reference point lies
+	// in the range — a shard's pair-ownership rule (see core.Options).
+	// It is tested before the per-partition two-layer fast path, so
+	// Report.Pairs counts owned pairs only. An empty or NaN range is
+	// an error.
+	Owner *geom.XRange
 }
 
 // withDefaults validates and fills in defaults.
@@ -133,6 +140,9 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.Emit != nil && o.EmitBatch != nil {
 		return o, fmt.Errorf("parallel: Options.Emit and Options.EmitBatch are mutually exclusive")
+	}
+	if o.Owner != nil && !o.Owner.Valid() {
+		return o, fmt.Errorf("parallel: Options.Owner [%v, %v) is empty", o.Owner.Lo, o.Owner.Hi)
 	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)

@@ -409,3 +409,50 @@ func TestJoinCancelMidRun(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
+
+// TestShardOwnerFiltersJoinAndSerial checks Options.Owner in both
+// entry points: the owned pairs are the brute-force pairs whose
+// reference point lies in the range, streamed or counted, and an
+// empty range is rejected.
+func TestShardOwnerFiltersJoinAndSerial(t *testing.T) {
+	a, b := clustered(21, 900, 500)
+	owner := geom.XRange{Lo: 350, Hi: 600}
+	byID := func(recs []geom.Record) map[geom.ID]geom.Rect {
+		m := map[geom.ID]geom.Rect{}
+		for _, r := range recs {
+			m[r.ID] = r.Rect
+		}
+		return m
+	}
+	ra, rb := byID(a), byID(b)
+	want := map[geom.Pair]bool{}
+	for p := range brute(a, b) {
+		if owner.OwnsPair(ra[p.Left], rb[p.Right]) {
+			want[p] = true
+		}
+	}
+	for name, run := range map[string]func(context.Context, []geom.Record, []geom.Record, Options) (Report, error){
+		"Join": Join, "Serial": Serial,
+	} {
+		got := map[geom.Pair]bool{}
+		o := Options{Universe: universe, Workers: 3, Owner: &owner}
+		o.Emit = func(p geom.Pair) { got[p] = true }
+		rep, err := run(context.Background(), a, b, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.Emit = nil
+		counted, err := run(context.Background(), a, b, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) || rep.Pairs != int64(len(want)) || counted.Pairs != int64(len(want)) {
+			t.Fatalf("%s: emitted %d, counted %d/%d, want %d owned pairs",
+				name, len(got), rep.Pairs, counted.Pairs, len(want))
+		}
+		o.Owner = &geom.XRange{Lo: 600, Hi: 350}
+		if _, err := run(context.Background(), a, b, o); err == nil {
+			t.Fatalf("%s: an empty owner range must be rejected", name)
+		}
+	}
+}

@@ -17,7 +17,6 @@ package server
 import (
 	"log/slog"
 	"net/http"
-	"sync"
 	"time"
 
 	"unijoin"
@@ -54,11 +53,15 @@ type Config struct {
 	BatchPairs int
 	// Stripe, when set, makes this process one shard of a fleet: the
 	// catalog is expected to hold only records overlapping the
-	// stripe (sjserved -stripe slices at load), and every join pair
-	// and window record is filtered by the shard ownership rules
-	// (see internal/shard), so a router summing the fleet's answers
-	// gets exactly the single-process result. The stripe is exposed
-	// on /v1/stats and /v1/relations for the router's fleet check.
+	// stripe (sjserved -stripe slices at load), and join pairs and
+	// window records are filtered by the shard ownership rules (see
+	// internal/shard), so a router summing the fleet's answers gets
+	// exactly the single-process result. Joins apply the pair rule
+	// inside the kernel through Query.Owner, so count-only shard joins
+	// keep the kernel's counting path. The full [lo, hi) test keeps
+	// the answer exact even over an unsliced catalog. The stripe is
+	// exposed on /v1/stats and /v1/relations for the router's fleet
+	// check.
 	Stripe *shard.Interval
 	// Registry receives the server's metric families (GET /metrics
 	// serves its rendering). Nil gets a private registry, so an
@@ -92,13 +95,6 @@ type Server struct {
 	stripe  *shard.Interval
 	start   time.Time
 	mux     *http.ServeMux
-
-	// xlo caches each relation's ID → left-edge table, the lookup
-	// behind the per-pair shard ownership test (stripe mode only).
-	// Keyed by *unijoin.Relation, so a reloaded relation gets a fresh
-	// table; each table is epoch-stamped, so an append or compaction
-	// invalidates it on the next fetch.
-	xlo sync.Map
 
 	metrics  *metrics
 	traces   *obs.TraceStore

@@ -17,10 +17,13 @@
 //     — the lower-x corner of the rectangle intersection, max of the
 //     two left edges. Both rectangles contain that point, so the
 //     owning shard is guaranteed to hold both records and find the
-//     pair; every other shard that finds it drops it. Window queries
-//     use the record's own XLo the same way. The merged result set is
-//     therefore exact and duplicate-free with no cross-shard
-//     coordination, for any join algorithm the shard runs.
+//     pair; every other shard that finds it drops it. The rule runs
+//     inside the join kernel (Query.Owner), where both rectangles are
+//     in hand, so a count-only shard join counts in the kernel with no
+//     callback and no buffered output. Window queries use the record's
+//     own XLo the same way. The merged result set is therefore exact
+//     and duplicate-free with no cross-shard coordination, for any
+//     join algorithm the shard runs.
 //
 // Plan computes and describes the stripes; Interval is one shard's
 // ownership range (sjserved's -stripe flag); Router scatters a

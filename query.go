@@ -90,6 +90,20 @@ func (q *Query) Emit(fn func(Pair)) *Query { q.opts.Emit = fn; return q }
 // pairs that must outlive the call. Mutually exclusive with Emit.
 func (q *Query) EmitBatch(fn func([]Pair)) *Query { q.opts.EmitBatch = fn; return q }
 
+// Owner keeps only the result pairs whose reference point — the
+// larger of the two left edges, the lower-x corner of their
+// intersection — lies in [lo, hi): the rule by which each shard of a
+// stripe fleet reports exactly its share of the join. The test runs
+// inside the join kernel, where both rectangles are in hand, so a
+// CountOnly query counts owned pairs there, with no callback and no
+// buffered output, and Count reports owned pairs. Every algorithm
+// honors it. Run fails if lo < hi does not hold (an empty range, or
+// a NaN bound).
+func (q *Query) Owner(lo, hi Coord) *Query {
+	q.opts.owner = &geom.XRange{Lo: lo, Hi: hi}
+	return q
+}
+
 // CountOnly disables the default buffering of result pairs for
 // Results.Pairs, keeping only the accounting — the paper's own
 // methodology (its cost model excludes output writing) and the
@@ -242,6 +256,7 @@ func (w *Workspace) runParallel(ctx context.Context, a, b *ingest.Version, opts 
 	po.Window = opts.Window
 	po.Emit = opts.Emit
 	po.EmitBatch = opts.EmitBatch
+	po.Owner = opts.owner
 	before := w.store.Counters()
 	beforeDirect := w.store.DirectCounters()
 	recsA, err := stream.ReadAll(a.File, stream.Records)
@@ -302,6 +317,7 @@ func (w *Workspace) coreOptionsFor(a, b *ingest.Version, opts *JoinOptions) (cor
 		o.Window = opts.Window
 		o.Emit = opts.Emit
 		o.EmitBatch = opts.EmitBatch
+		o.Owner = opts.owner
 	}
 	return o, nil
 }

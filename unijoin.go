@@ -106,6 +106,7 @@ package unijoin
 import (
 	"context"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -138,21 +139,26 @@ type (
 func NewRect(x1, y1, x2, y2 Coord) Rect { return geom.NewRect(x1, y1, x2, y2) }
 
 // ParseRect parses the "x1,y1,x2,y2" rectangle syntax shared by the
-// command-line tools' -window and -region flags.
+// command-line tools' -window and -region flags. Every component must
+// be a finite coordinate: NaN, ±Inf and values that overflow the
+// float32 Coord are rejected.
 func ParseRect(s string) (Rect, error) {
 	parts := strings.Split(s, ",")
 	if len(parts) != 4 {
 		return Rect{}, fmt.Errorf("unijoin: rectangle needs 4 comma-separated numbers, got %q", s)
 	}
-	var v [4]float64
+	var v [4]Coord
 	for i, p := range parts {
 		f, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
 		if err != nil {
 			return Rect{}, fmt.Errorf("unijoin: bad rectangle component %q: %w", p, err)
 		}
-		v[i] = f
+		v[i] = Coord(f)
+		if c := float64(v[i]); math.IsNaN(c) || math.IsInf(c, 0) {
+			return Rect{}, fmt.Errorf("unijoin: bad rectangle component %q: not a finite coordinate", p)
+		}
 	}
-	return NewRect(Coord(v[0]), Coord(v[1]), Coord(v[2]), Coord(v[3])), nil
+	return NewRect(v[0], v[1], v[2], v[3]), nil
 }
 
 // ReadRecordFile loads a real file of the paper's 20-byte MBR records
@@ -535,6 +541,11 @@ type JoinOptions struct {
 	// EmitBatch receives result pairs in pooled batches; see
 	// Query.EmitBatch. Mutually exclusive with Emit.
 	EmitBatch func([]Pair)
+
+	// owner is the pair-ownership range set by Query.Owner. It is
+	// unexported so only a Query can carry it: the deprecated wrappers
+	// and MultiwayJoin cannot.
+	owner *geom.XRange
 }
 
 // Join runs the selected algorithm on two relations. Requirements:

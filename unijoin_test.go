@@ -264,3 +264,33 @@ func TestCostReportsOrdering(t *testing.T) {
 		t.Fatalf("machine 1 should be slowest: %v", times)
 	}
 }
+
+func TestParseRect(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want Rect
+		ok   bool
+	}{
+		{"0,0,10,20", NewRect(0, 0, 10, 20), true},
+		{" 5, 6 ,1,2", NewRect(1, 2, 5, 6), true},
+		{"-1.5,0,1.5,3e2", NewRect(-1.5, 0, 1.5, 300), true},
+		{"NaN,0,1,1", Rect{}, false},
+		{"0,nan,1,1", Rect{}, false},
+		{"0,0,Inf,1", Rect{}, false},
+		{"0,0,1,+Inf", Rect{}, false},
+		{"-Inf,0,1,1", Rect{}, false},
+		{"0,0,1e39,1", Rect{}, false}, // overflows the float32 Coord
+		{"0,0,1,x", Rect{}, false},
+		{"0,0,1", Rect{}, false},
+		{"", Rect{}, false},
+	} {
+		got, err := ParseRect(tc.in)
+		if (err == nil) != tc.ok {
+			t.Errorf("ParseRect(%q) error = %v, want ok=%v", tc.in, err, tc.ok)
+			continue
+		}
+		if tc.ok && got != tc.want {
+			t.Errorf("ParseRect(%q) = %v, want %v", tc.in, got, tc.want)
+		}
+	}
+}

@@ -103,9 +103,8 @@ func (c *Client) Join(ctx context.Context, req JoinRequest, onPair func(left, ri
 }
 
 // JoinBatches is Join with pair delivery at the wire's batch
-// granularity: onBatch (which may be nil) receives each NDJSON batch
-// line's pairs as one slice, valid only until it returns — the
-// amortized path a router merging several shard streams uses.
+// granularity: onBatch (which may be nil) receives each batch line's
+// (or frame's) pairs as one slice, valid only until it returns.
 func (c *Client) JoinBatches(ctx context.Context, req JoinRequest, onBatch func(pairs [][2]uint32)) (*JoinSummary, error) {
 	if c.PreferBinary {
 		return c.JoinFrames(ctx, req, onBatch)

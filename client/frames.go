@@ -17,9 +17,12 @@ import (
 // of NDJSON. The transport is negotiated — the request carries
 // Accept: application/x-sj-frames, and the response's Content-Type
 // says whether the server obliged. Against an old NDJSON-only server
-// (which ignores the Accept header) or one answering 406, every
-// method here falls back to the NDJSON stream transparently, so a
-// caller never has to know what the far end speaks.
+// (which ignores the Accept header) or one answering 406, the
+// decoding methods (JoinFrames, WindowFrames) fall back to the NDJSON
+// stream transparently, so an end user never has to know what the far
+// end speaks. The raw relay methods (JoinRawFrames, WindowRawFrames)
+// are a router's shard legs, which are always frames: they have no
+// fallback, and a router encodes NDJSON only at its client edge.
 
 // frameError classifies a broken frame stream as the API's
 // internal-error class: corruption or truncation on the wire is a
@@ -202,67 +205,56 @@ func decodeWindowFrames(body io.Reader, onBatch func([]RecordOut)) (*WindowSumma
 	}
 }
 
-// JoinRawFrames is the relay form of JoinFrames: every DATA frame is
-// handed to onFrame as its exact wire bytes (header + payload, CRC
-// untouched and unverified — the end consumer's check covers the
-// whole journey), valid only until onFrame returns. Only the terminal
-// SUMMARY or ERROR frame is parsed (and CRC-verified, since this
-// process consumes it). Against an NDJSON server, batches are
-// re-encoded into frames here, so the caller always sees frames.
-// This is what a router's zero-decode scatter path runs per shard.
-func (c *Client) JoinRawFrames(ctx context.Context, req JoinRequest, onFrame func(raw []byte)) (*JoinSummary, error) {
-	resp, err := c.postStreamAccept(ctx, "/v1/join", req, wire.ContentType)
-	if err != nil {
-		if notAcceptable(err) {
-			return c.joinNDJSON(ctx, req, reframePairs(onFrame))
-		}
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if !wire.IsFrameResponse(resp.Header.Get("Content-Type")) {
-		return joinLines(resp.Body, reframePairs(onFrame))
-	}
-	var summary *JoinSummary
-	raw, err := relayFrames(resp.Body, wire.TypePairs, onFrame)
-	if err != nil {
-		return nil, err
-	}
-	if err := json.Unmarshal(raw, &summary); err != nil {
-		return nil, frameError("sjserved: bad summary frame: %v", err)
-	}
-	return summary, nil
+// JoinRawFrames is the relay form of JoinFrames and a router's
+// per-shard join leg: every PAIRS frame is handed to onFrame as its
+// exact wire bytes (header + payload, CRC untouched and unverified),
+// valid only until onFrame returns, and an error from onFrame aborts
+// the stream and is returned unchanged. Only the terminal SUMMARY or
+// ERROR frame is parsed (and CRC-verified, since this process consumes
+// it). There is no NDJSON fallback: a fleet is built from one tree, so
+// a server that answers in another format is a broken peer, reported
+// in the ErrUnavailable (502) class.
+func (c *Client) JoinRawFrames(ctx context.Context, req JoinRequest, onFrame func(raw []byte) error) (*JoinSummary, error) {
+	return rawFrames[JoinSummary](ctx, c, "/v1/join", req, wire.TypePairs, onFrame)
 }
 
-// WindowRawFrames is JoinRawFrames for window queries: RECORDS frames
-// relayed raw, summary parsed, NDJSON shard responses re-framed.
-func (c *Client) WindowRawFrames(ctx context.Context, req WindowRequest, onFrame func(raw []byte)) (*WindowSummary, error) {
-	resp, err := c.postStreamAccept(ctx, "/v1/window", req, wire.ContentType)
+// WindowRawFrames is JoinRawFrames for window queries, relaying
+// RECORDS frames.
+func (c *Client) WindowRawFrames(ctx context.Context, req WindowRequest, onFrame func(raw []byte) error) (*WindowSummary, error) {
+	return rawFrames[WindowSummary](ctx, c, "/v1/window", req, wire.TypeRecords, onFrame)
+}
+
+// rawFrames posts a streaming query that must be answered with frames,
+// relays its dataType frames to onFrame, and parses the summary.
+func rawFrames[S any](ctx context.Context, c *Client, path string, req any, dataType wire.Type, onFrame func(raw []byte) error) (*S, error) {
+	resp, err := c.postStreamAccept(ctx, path, req, wire.ContentType)
 	if err != nil {
-		if notAcceptable(err) {
-			return c.windowNDJSON(ctx, req, reframeRecords(onFrame))
-		}
 		return nil, err
 	}
 	defer resp.Body.Close()
-	if !wire.IsFrameResponse(resp.Header.Get("Content-Type")) {
-		return windowLines(resp.Body, reframeRecords(onFrame))
+	if ct := resp.Header.Get("Content-Type"); !wire.IsFrameResponse(ct) {
+		return nil, &APIError{
+			Status: http.StatusBadGateway, Code: CodeUnavailable,
+			Message: fmt.Sprintf("answered %q instead of a frame stream", ct),
+		}
 	}
-	var summary *WindowSummary
-	raw, err := relayFrames(resp.Body, wire.TypeRecords, onFrame)
+	raw, err := relayFrames(resp.Body, dataType, onFrame)
 	if err != nil {
 		return nil, err
 	}
+	var summary S
 	if err := json.Unmarshal(raw, &summary); err != nil {
 		return nil, frameError("sjserved: bad summary frame: %v", err)
 	}
-	return summary, nil
+	return &summary, nil
 }
 
 // relayFrames scans a frame stream without decoding payloads: frames
-// of dataType go to onFrame verbatim; the terminal SUMMARY payload is
-// CRC-verified and returned for the caller to parse; an ERROR frame
-// becomes the shard's *APIError. The stream must close with END.
-func relayFrames(body io.Reader, dataType wire.Type, onFrame func(raw []byte)) ([]byte, error) {
+// of dataType go to onFrame verbatim (its error ends the scan); the
+// terminal SUMMARY payload is CRC-verified and returned for the caller
+// to parse; an ERROR frame becomes the shard's *APIError. The stream
+// must close with END.
+func relayFrames(body io.Reader, dataType wire.Type, onFrame func(raw []byte) error) ([]byte, error) {
 	sc := wire.NewScanner(body)
 	var summaryPayload []byte
 	var apiErr *APIError
@@ -277,7 +269,9 @@ func relayFrames(body io.Reader, dataType wire.Type, onFrame func(raw []byte)) (
 		switch t {
 		case dataType:
 			if onFrame != nil {
-				onFrame(raw)
+				if err := onFrame(raw); err != nil {
+					return nil, err
+				}
 			}
 		case wire.TypeSummary, wire.TypeError:
 			if err := wire.Verify(raw); err != nil {
@@ -302,49 +296,5 @@ func relayFrames(body io.Reader, dataType wire.Type, onFrame func(raw []byte)) (
 		default:
 			return nil, frameError("sjserved: unexpected %s frame in the stream", t)
 		}
-	}
-}
-
-// reframePairs adapts a raw-frame callback to an NDJSON batch
-// callback by packing each batch into a PAIRS frame — how an old
-// NDJSON-only shard still feeds a frame-relaying router.
-func reframePairs(onFrame func(raw []byte)) func([][2]uint32) {
-	if onFrame == nil {
-		return nil
-	}
-	var buf []byte
-	return func(batch [][2]uint32) {
-		payload := make([]byte, 0, len(batch)*wire.PairSize)
-		for _, p := range batch {
-			var cell [wire.PairSize]byte
-			geom.EncodePair(cell[:], geom.Pair{Left: p[0], Right: p[1]})
-			payload = append(payload, cell[:]...)
-		}
-		buf = wire.AppendFrame(buf[:0], wire.TypePairs, payload)
-		onFrame(buf)
-	}
-}
-
-// reframeRecords adapts a raw-frame callback to an NDJSON record
-// batch callback, mirroring reframePairs.
-func reframeRecords(onFrame func(raw []byte)) func([]RecordOut) {
-	if onFrame == nil {
-		return nil
-	}
-	var buf []byte
-	return func(batch []RecordOut) {
-		payload := make([]byte, 0, len(batch)*wire.RecordSize)
-		for _, r := range batch {
-			var cell [wire.RecordSize]byte
-			geom.EncodeRecord(cell[:], geom.Record{
-				Rect: geom.NewRect(
-					geom.Coord(r.Rect.XLo), geom.Coord(r.Rect.YLo),
-					geom.Coord(r.Rect.XHi), geom.Coord(r.Rect.YHi)),
-				ID: r.ID,
-			})
-			payload = append(payload, cell[:]...)
-		}
-		buf = wire.AppendFrame(buf[:0], wire.TypeRecords, payload)
-		onFrame(buf)
 	}
 }

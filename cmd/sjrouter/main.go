@@ -82,14 +82,14 @@ func main() {
 		Router: router, Timeout: *timeout, Logger: log,
 		Traces: *traces, SlowQuery: *slowQuery,
 	})
-	httpSrv := &http.Server{Addr: *addr, Handler: svc.Handler()}
+	httpSrv := httpapi.NewServer(*addr, svc.Handler())
 
 	var pprofSrv *http.Server
 	if *pprofAddr != "" {
 		// Same side-listener rule as sjserved: profiling never rides
 		// the query port, a bind failure is fatal, and the handle is
 		// kept so the graceful drain closes this listener too.
-		pprofSrv = &http.Server{Addr: *pprofAddr, Handler: httpapi.PprofMux()}
+		pprofSrv = httpapi.NewServer(*pprofAddr, httpapi.PprofMux())
 		go func() {
 			log.Info("pprof listening", "addr", *pprofAddr)
 			if err := pprofSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {

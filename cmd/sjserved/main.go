@@ -120,7 +120,7 @@ func main() {
 		Traces: *traces, SlowQuery: *slowQuery,
 		WorkloadLo: float64(universe.XLo), WorkloadHi: float64(universe.XHi),
 	})
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := httpapi.NewServer(*addr, srv.Handler())
 
 	var pprofSrv *http.Server
 	if *pprofAddr != "" {
@@ -129,7 +129,7 @@ func main() {
 		// for profiling and silently not getting it is worse. The
 		// server handle is kept so the graceful drain closes this
 		// listener too instead of leaking it until process exit.
-		pprofSrv = &http.Server{Addr: *pprofAddr, Handler: httpapi.PprofMux()}
+		pprofSrv = httpapi.NewServer(*pprofAddr, httpapi.PprofMux())
 		go func() {
 			log.Info("pprof listening", "addr", *pprofAddr)
 			if err := pprofSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {

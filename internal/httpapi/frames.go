@@ -118,3 +118,15 @@ func (fw *FrameWriter) End() {
 func (fw *FrameWriter) Relay(raw []byte) {
 	fw.emit(wire.Type(raw[wire.OffType]), func() error { return fw.enc.WriteRaw(raw) })
 }
+
+// AppendRecordsOut converts engine records to their NDJSON wire form,
+// appending to dst — the one conversion every NDJSON edge shares.
+func AppendRecordsOut(dst []client.RecordOut, recs []geom.Record) []client.RecordOut {
+	for _, rec := range recs {
+		dst = append(dst, client.RecordOut{ID: rec.ID, Rect: client.Rect{
+			XLo: float64(rec.Rect.XLo), YLo: float64(rec.Rect.YLo),
+			XHi: float64(rec.Rect.XHi), YHi: float64(rec.Rect.YHi),
+		}})
+	}
+	return dst
+}

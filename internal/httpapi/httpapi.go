@@ -14,6 +14,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"sync"
+	"time"
 
 	"unijoin/client"
 )
@@ -191,6 +192,24 @@ func EnsureRequestID(r *http.Request) string {
 		return id
 	}
 	return NewRequestID()
+}
+
+// The timeouts every sjserved and sjrouter listener sets. A client has
+// ReadHeaderTimeout to send its request headers, and an idle
+// keep-alive connection closes after IdleTimeout, so slow or abandoned
+// connections cannot pin goroutines. There is no WriteTimeout: a join
+// stream legitimately lasts as long as the join, and per-request
+// deadlines (-timeout, timeout_ms) bound it instead.
+const (
+	ReadHeaderTimeout = 10 * time.Second
+	IdleTimeout       = 2 * time.Minute
+)
+
+// NewServer returns an http.Server for addr with the listener timeouts
+// set — the one constructor for both binaries' query and pprof
+// listeners.
+func NewServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: ReadHeaderTimeout, IdleTimeout: IdleTimeout}
 }
 
 // PprofMux returns a mux serving the standard net/http/pprof

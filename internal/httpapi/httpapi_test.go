@@ -66,3 +66,19 @@ func TestLineWriterReuse(t *testing.T) {
 		}
 	}
 }
+
+// TestNewServerTimeouts pins the listener timeouts: header reads and
+// idle keep-alives are bounded, and writes are not, so long join
+// streams are never cut off.
+func TestNewServerTimeouts(t *testing.T) {
+	srv := NewServer("127.0.0.1:0", http.NotFoundHandler())
+	if srv.ReadHeaderTimeout <= 0 || srv.IdleTimeout <= 0 {
+		t.Fatalf("ReadHeaderTimeout %v, IdleTimeout %v; both must be set", srv.ReadHeaderTimeout, srv.IdleTimeout)
+	}
+	if srv.WriteTimeout != 0 {
+		t.Fatalf("WriteTimeout %v would cut long join streams", srv.WriteTimeout)
+	}
+	if srv.Addr != "127.0.0.1:0" || srv.Handler == nil {
+		t.Fatalf("server %q lost its address or handler", srv.Addr)
+	}
+}

@@ -228,10 +228,7 @@ func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request) {
 		if binary {
 			fs.WriteRecords(recs)
 		} else {
-			out = out[:0]
-			for _, rec := range recs {
-				out = append(out, client.RecordOut{ID: rec.ID, Rect: fromRect(rec.Rect)})
-			}
+			out = httpapi.AppendRecordsOut(out[:0], recs)
 			lw.WriteLine(client.WindowLine{Records: out})
 		}
 		streamTime += time.Since(t0)

@@ -17,8 +17,10 @@ import (
 
 // Router fans queries out to a fleet of sjserved shard endpoints and
 // gathers the results: join and window streams are merged as shard
-// batches arrive, and per-shard summaries are summed into one
-// response. Because each shard filters its output by its ownership
+// frames arrive, and per-shard summaries are summed into one
+// response. Every router→shard leg speaks binary frames, whatever the
+// router's own client speaks; NDJSON exists only at the client edge
+// (Service). Because each shard filters its output by its ownership
 // interval, the merged pair and record sets are exact and
 // duplicate-free — the distributed run returns precisely the
 // single-process answer, for every join algorithm. A Router is safe
@@ -200,85 +202,57 @@ func (r *Router) Verify(ctx context.Context) ([]client.Stats, error) {
 }
 
 // Join scatters the join to every shard and merges their streams.
-// onBatch (which may be nil) receives pair batches as they arrive
-// from any shard, serialized — batches from different shards
-// interleave, so cross-shard arrival order is not deterministic, but
-// the merged set and the summed count are exact. The summary sums
-// Pairs and the per-shard record counts (boundary-crossing records
-// count once per shard that loaded them) and reports the slowest
-// shard's elapsed time.
-func (r *Router) Join(ctx context.Context, req client.JoinRequest, onBatch func(pairs [][2]uint32)) (*client.JoinSummary, error) {
-	return r.join(ctx, req, onBatch, nil)
+// Every leg runs over binary frames: onFrame (nil for a count-only
+// query) receives each shard's PAIRS frames as their exact wire bytes,
+// unverified and valid only until it returns — the router never
+// decodes or re-encodes a pair; only the terminal SUMMARY/ERROR frames
+// are parsed for merging. Frames from different shards interleave,
+// serialized one whole frame at a time, so cross-shard arrival order
+// is not deterministic, but the merged set and the summed count are
+// exact. An error from onFrame fails the query like a failing shard.
+// The caller picks the client's transport: relay the frames, or
+// decode them into NDJSON at the edge (Service does both). The summary
+// sums Pairs and the per-shard record counts (boundary-crossing
+// records count once per shard that loaded them) and reports the
+// slowest shard's elapsed time.
+func (r *Router) Join(ctx context.Context, req client.JoinRequest, onFrame func(raw []byte) error) (*client.JoinSummary, error) {
+	return r.join(ctx, req, onFrame, nil)
 }
 
 // join is Join with optional per-leg tracing (ct may be nil).
-func (r *Router) join(ctx context.Context, req client.JoinRequest, onBatch func(pairs [][2]uint32), ct *callTrace) (*client.JoinSummary, error) {
-	var mu sync.Mutex
-	sums := make([]*client.JoinSummary, len(r.clients))
-	err := r.scatter(ctx, r.traced(ct, func(ctx context.Context, i int, cl *client.Client) error {
-		var cb func([][2]uint32)
-		if onBatch != nil {
-			cb = func(batch [][2]uint32) {
-				mu.Lock()
-				defer mu.Unlock()
-				onBatch(batch)
-			}
-		}
-		s, err := cl.JoinBatches(ctx, req, cb)
-		if err != nil {
-			return err
-		}
-		sums[i] = s
-		if ct != nil {
-			ct.calls[i].Spans = s.Spans
-		}
-		return nil
-	}))
+func (r *Router) join(ctx context.Context, req client.JoinRequest, onFrame func(raw []byte) error, ct *callTrace) (*client.JoinSummary, error) {
+	sums, err := gather(ctx, r, ct, req, onFrame, (*client.Client).JoinRawFrames)
 	if err != nil {
 		return nil, err
+	}
+	if ct != nil {
+		for i, s := range sums {
+			ct.calls[i].Spans = s.Spans
+		}
 	}
 	return mergeJoinSummaries(sums), nil
 }
 
-// JoinFrames is Join on the binary transport's relay path: each
-// shard's DATA frames are handed to onFrame as their exact wire bytes
-// — the router never decodes or re-encodes a pair; only the terminal
-// SUMMARY/ERROR frames are parsed for merging. Frames from different
-// shards interleave (serialized, one whole frame at a time), and a
-// shard that only speaks NDJSON has its batches re-framed inside the
-// client call, so the output is a well-formed frame stream either
-// way.
-func (r *Router) JoinFrames(ctx context.Context, req client.JoinRequest, onFrame func(raw []byte)) (*client.JoinSummary, error) {
-	return r.joinFrames(ctx, req, onFrame, nil)
-}
-
-// joinFrames is JoinFrames with optional per-leg tracing.
-func (r *Router) joinFrames(ctx context.Context, req client.JoinRequest, onFrame func(raw []byte), ct *callTrace) (*client.JoinSummary, error) {
+// gather runs one frame-stream leg per shard, serializing the legs'
+// onFrame calls, and returns the shards' summaries in endpoint order.
+func gather[Q, S any](ctx context.Context, r *Router, ct *callTrace, req Q, onFrame func(raw []byte) error,
+	leg func(*client.Client, context.Context, Q, func(raw []byte) error) (*S, error)) ([]*S, error) {
 	var mu sync.Mutex
-	sums := make([]*client.JoinSummary, len(r.clients))
-	err := r.scatter(ctx, r.traced(ct, func(ctx context.Context, i int, cl *client.Client) error {
-		var cb func([]byte)
-		if onFrame != nil {
-			cb = func(raw []byte) {
-				mu.Lock()
-				defer mu.Unlock()
-				onFrame(raw)
-			}
+	serial := onFrame
+	if onFrame != nil {
+		serial = func(raw []byte) error {
+			mu.Lock()
+			defer mu.Unlock()
+			return onFrame(raw)
 		}
-		s, err := cl.JoinRawFrames(ctx, req, cb)
-		if err != nil {
-			return err
-		}
-		sums[i] = s
-		if ct != nil {
-			ct.calls[i].Spans = s.Spans
-		}
-		return nil
-	}))
-	if err != nil {
-		return nil, err
 	}
-	return mergeJoinSummaries(sums), nil
+	sums := make([]*S, len(r.clients))
+	err := r.scatter(ctx, r.traced(ct, func(ctx context.Context, i int, cl *client.Client) error {
+		s, err := leg(cl, ctx, req, serial)
+		sums[i] = s
+		return err
+	}))
+	return sums, err
 }
 
 // mergeJoinSummaries sums the per-shard summaries: Pairs and record
@@ -327,65 +301,16 @@ func mergeTraces(a, b *client.PhaseTrace) *client.PhaseTrace {
 }
 
 // Window scatters the window query and merges the record streams,
-// mirroring Join: batches interleave across shards, counts sum
-// exactly, Indexed reports whether every shard answered through an
-// R-tree, and the elapsed time is the slowest shard's.
-func (r *Router) Window(ctx context.Context, req client.WindowRequest, onBatch func([]client.RecordOut)) (*client.WindowSummary, error) {
-	return r.window(ctx, req, onBatch, nil)
+// mirroring Join with RECORDS frames: counts sum exactly, Indexed
+// reports whether every shard answered through an R-tree, and the
+// elapsed time is the slowest shard's.
+func (r *Router) Window(ctx context.Context, req client.WindowRequest, onFrame func(raw []byte) error) (*client.WindowSummary, error) {
+	return r.window(ctx, req, onFrame, nil)
 }
 
 // window is Window with optional per-leg tracing.
-func (r *Router) window(ctx context.Context, req client.WindowRequest, onBatch func([]client.RecordOut), ct *callTrace) (*client.WindowSummary, error) {
-	var mu sync.Mutex
-	sums := make([]*client.WindowSummary, len(r.clients))
-	err := r.scatter(ctx, r.traced(ct, func(ctx context.Context, i int, cl *client.Client) error {
-		var cb func([]client.RecordOut)
-		if onBatch != nil {
-			cb = func(batch []client.RecordOut) {
-				mu.Lock()
-				defer mu.Unlock()
-				onBatch(batch)
-			}
-		}
-		s, err := cl.WindowBatches(ctx, req, cb)
-		if err != nil {
-			return err
-		}
-		sums[i] = s
-		return nil
-	}))
-	if err != nil {
-		return nil, err
-	}
-	return mergeWindowSummaries(sums), nil
-}
-
-// WindowFrames is Window on the relay path, mirroring JoinFrames with
-// RECORDS frames.
-func (r *Router) WindowFrames(ctx context.Context, req client.WindowRequest, onFrame func(raw []byte)) (*client.WindowSummary, error) {
-	return r.windowFrames(ctx, req, onFrame, nil)
-}
-
-// windowFrames is WindowFrames with optional per-leg tracing.
-func (r *Router) windowFrames(ctx context.Context, req client.WindowRequest, onFrame func(raw []byte), ct *callTrace) (*client.WindowSummary, error) {
-	var mu sync.Mutex
-	sums := make([]*client.WindowSummary, len(r.clients))
-	err := r.scatter(ctx, r.traced(ct, func(ctx context.Context, i int, cl *client.Client) error {
-		var cb func([]byte)
-		if onFrame != nil {
-			cb = func(raw []byte) {
-				mu.Lock()
-				defer mu.Unlock()
-				onFrame(raw)
-			}
-		}
-		s, err := cl.WindowRawFrames(ctx, req, cb)
-		if err != nil {
-			return err
-		}
-		sums[i] = s
-		return nil
-	}))
+func (r *Router) window(ctx context.Context, req client.WindowRequest, onFrame func(raw []byte) error, ct *callTrace) (*client.WindowSummary, error) {
+	sums, err := gather(ctx, r, ct, req, onFrame, (*client.Client).WindowRawFrames)
 	if err != nil {
 		return nil, err
 	}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"unijoin/client"
+	"unijoin/internal/geom"
 	"unijoin/internal/httpapi"
 	"unijoin/internal/obs"
 	"unijoin/internal/wire"
@@ -35,10 +36,11 @@ type ServiceConfig struct {
 }
 
 // Service is the HTTP front of a Router: it speaks exactly the
-// sjserved API — the same six endpoints, the same NDJSON streams,
-// the same wire types — so clients cannot tell a router from a single
-// server, except that /v1/stats reports the fleet size. cmd/sjrouter
-// runs one under an http.Server.
+// sjserved API — the same six endpoints, the same NDJSON and frame
+// streams, the same wire types — so clients cannot tell a router from
+// a single server, except that /v1/stats reports the fleet size. Its
+// shard legs are always frames; the client's transport is chosen only
+// at its edge. cmd/sjrouter runs one under an http.Server.
 type Service struct {
 	router  *Router
 	timeout time.Duration
@@ -183,40 +185,15 @@ func (s *Service) handleJoin(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	ct := s.router.newCallTrace()
 	start := time.Now()
-
-	if wire.Negotiates(r) {
-		fw := s.newFrameWriter(w)
-		defer fw.Close()
-		var onFrame func([]byte)
-		if !req.CountOnly {
-			onFrame = fw.Relay
-		}
-		sum, err := s.router.joinFrames(ctx, req, onFrame, ct)
-		if err != nil {
-			s.finishErrorFrames(fw, err)
-			return
-		}
-		s.finishJoinTrace(r, req, sum, start, ct)
-		fw.WriteSummary(sum)
-		fw.End()
-		return
-	}
-
-	lw := httpapi.NewLineWriter(w)
-	defer lw.Close()
-	var onBatch func([][2]uint32)
-	if !req.CountOnly {
-		onBatch = func(batch [][2]uint32) {
-			lw.WriteLine(client.JoinLine{Pairs: batch})
-		}
-	}
-	sum, err := s.router.join(ctx, req, onBatch, ct)
+	e := s.newEdge(w, r)
+	defer e.close()
+	sum, err := s.router.join(ctx, req, e.onFrame(req.CountOnly), ct)
 	if err != nil {
-		s.finishError(lw, err, func(e *client.APIError) any { return client.JoinLine{Error: e} })
+		e.fail(err)
 		return
 	}
 	s.finishJoinTrace(r, req, sum, start, ct)
-	lw.WriteLine(client.JoinLine{Summary: sum})
+	e.finish(sum)
 }
 
 // finishJoinTrace closes out a routed join's span tree — the root
@@ -247,40 +224,15 @@ func (s *Service) handleWindow(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	ct := s.router.newCallTrace()
 	start := time.Now()
-
-	if wire.Negotiates(r) {
-		fw := s.newFrameWriter(w)
-		defer fw.Close()
-		var onFrame func([]byte)
-		if !req.CountOnly {
-			onFrame = fw.Relay
-		}
-		sum, err := s.router.windowFrames(ctx, req, onFrame, ct)
-		if err != nil {
-			s.finishErrorFrames(fw, err)
-			return
-		}
-		s.finishWindowTrace(r, req, start, ct)
-		fw.WriteSummary(sum)
-		fw.End()
-		return
-	}
-
-	lw := httpapi.NewLineWriter(w)
-	defer lw.Close()
-	var onBatch func([]client.RecordOut)
-	if !req.CountOnly {
-		onBatch = func(batch []client.RecordOut) {
-			lw.WriteLine(client.WindowLine{Records: batch})
-		}
-	}
-	sum, err := s.router.window(ctx, req, onBatch, ct)
+	e := s.newEdge(w, r)
+	defer e.close()
+	sum, err := s.router.window(ctx, req, e.onFrame(req.CountOnly), ct)
 	if err != nil {
-		s.finishError(lw, err, func(e *client.APIError) any { return client.WindowLine{Error: e} })
+		e.fail(err)
 		return
 	}
 	s.finishWindowTrace(r, req, start, ct)
-	lw.WriteLine(client.WindowLine{Summary: sum})
+	e.finish(sum)
 }
 
 // finishWindowTrace mirrors finishJoinTrace for window queries. The
@@ -362,38 +314,118 @@ func (s *Service) recordTrace(r *http.Request, kind string, root *obs.Span) {
 	}
 }
 
-// finishError reports a failed scatter: as an HTTP status when
-// nothing has streamed yet, or as a terminal error line mid-stream.
-func (s *Service) finishError(lw *httpapi.LineWriter, err error, wrap func(*client.APIError) any) {
-	apiErr := apiErrorFor(err)
-	if !lw.Started() {
-		httpapi.WriteError(lw.ResponseWriter(), apiErr)
-		return
-	}
-	lw.WriteLine(wrap(apiErr))
+// edge is the client-facing end of one routed join or window stream.
+// Shard legs always arrive as binary frames. A client that negotiated
+// frames gets them relayed verbatim, their CRC left for it to check;
+// any other client gets each frame CRC-checked, decoded and written as
+// one NDJSON line — the only place a routed query meets JSON.
+type edge struct {
+	fw    *httpapi.FrameWriter // frame client; nil for NDJSON
+	lw    *httpapi.LineWriter  // NDJSON client; nil for frames
+	pairs [][2]uint32
+	recs  []geom.Record
+	out   []client.RecordOut
 }
 
-// newFrameWriter wraps a response writer for frame streaming with the
-// service's frame metrics attached.
-func (s *Service) newFrameWriter(w http.ResponseWriter) *httpapi.FrameWriter {
-	return httpapi.NewFrameWriter(w, func(t wire.Type, frames, bytes int64) {
-		s.frames.With(t.String()).Add(frames)
-		s.frameBytes.With(t.String()).Add(bytes)
-	})
+// newEdge picks the client's transport from its Accept header; a
+// frame stream carries the service's frame metrics.
+func (s *Service) newEdge(w http.ResponseWriter, r *http.Request) *edge {
+	if wire.Negotiates(r) {
+		return &edge{fw: httpapi.NewFrameWriter(w, func(t wire.Type, frames, bytes int64) {
+			s.frames.With(t.String()).Add(frames)
+			s.frameBytes.With(t.String()).Add(bytes)
+		})}
+	}
+	return &edge{lw: httpapi.NewLineWriter(w)}
 }
 
-// finishErrorFrames reports a failed scatter on the binary transport:
-// an HTTP status while nothing has streamed, or a well-formed ERROR
-// frame plus END after DATA frames have already been relayed — the
-// mid-stream shard-failure contract a decoding client depends on.
-func (s *Service) finishErrorFrames(fw *httpapi.FrameWriter, err error) {
-	apiErr := apiErrorFor(err)
-	if !fw.Started() {
-		httpapi.WriteError(fw.ResponseWriter(), apiErr)
+// close releases the writer's pooled buffer.
+func (e *edge) close() {
+	if e.fw != nil {
+		e.fw.Close()
 		return
 	}
-	fw.WriteError(apiErr)
-	fw.End()
+	e.lw.Close()
+}
+
+// onFrame returns the router's DATA frame callback: nil for a
+// count-only query, which streams no frames.
+func (e *edge) onFrame(countOnly bool) func(raw []byte) error {
+	if countOnly {
+		return nil
+	}
+	return e.frame
+}
+
+// frame delivers one shard DATA frame to the client. A frame the
+// NDJSON edge cannot decode fails the query in the internal-error
+// class, with none of its entries written.
+func (e *edge) frame(raw []byte) error {
+	if e.fw != nil {
+		e.fw.Relay(raw)
+		return nil
+	}
+	if err := e.writeLine(raw); err != nil {
+		return &client.APIError{
+			Status: http.StatusInternalServerError, Code: client.CodeInternal,
+			Message: "corrupt shard frame: " + err.Error(),
+		}
+	}
+	return nil
+}
+
+// writeLine CRC-checks and decodes one PAIRS or RECORDS frame and
+// writes its entries as one NDJSON line.
+func (e *edge) writeLine(raw []byte) error {
+	if err := wire.Verify(raw); err != nil {
+		return err
+	}
+	f := wire.Frame{Type: wire.Type(raw[wire.OffType]), Payload: raw[wire.HeaderSize:]}
+	var err error
+	if f.Type == wire.TypeRecords {
+		if e.recs, err = f.Records(e.recs[:0]); err == nil && len(e.recs) > 0 {
+			e.out = httpapi.AppendRecordsOut(e.out[:0], e.recs)
+			e.lw.WriteLine(client.WindowLine{Records: e.out})
+		}
+		return err
+	}
+	if e.pairs, err = f.Pairs(e.pairs[:0]); err == nil && len(e.pairs) > 0 {
+		e.lw.WriteLine(client.JoinLine{Pairs: e.pairs})
+	}
+	return err
+}
+
+// finish closes a successful stream with the merged summary.
+func (e *edge) finish(sum any) {
+	if e.fw != nil {
+		e.fw.WriteSummary(sum)
+		e.fw.End()
+		return
+	}
+	e.lw.WriteLine(struct {
+		Summary any `json:"summary"`
+	}{sum})
+}
+
+// fail reports a failed scatter: as an HTTP status while nothing has
+// streamed, else as a terminal error line, or an ERROR frame plus END
+// — the mid-stream shard-failure contract a client depends on, never
+// a silently truncated stream.
+func (e *edge) fail(err error) {
+	apiErr := apiErrorFor(err)
+	switch {
+	case e.fw != nil && e.fw.Started():
+		e.fw.WriteError(apiErr)
+		e.fw.End()
+	case e.fw != nil:
+		httpapi.WriteError(e.fw.ResponseWriter(), apiErr)
+	case e.lw.Started():
+		e.lw.WriteLine(struct {
+			Error *client.APIError `json:"error"`
+		}{apiErr})
+	default:
+		httpapi.WriteError(e.lw.ResponseWriter(), apiErr)
+	}
 }
 
 // apiErrorFor classifies a router error for the wire: a shard's own

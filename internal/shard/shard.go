@@ -27,9 +27,16 @@
 //
 // Plan computes and describes the stripes; Interval is one shard's
 // ownership range (sjserved's -stripe flag); Router scatters a
-// request to K sjserved shard endpoints and gathers their NDJSON
-// streams; Service is the HTTP front that makes a Router a drop-in
+// request to K sjserved shard endpoints and gathers their streams;
+// Service is the HTTP front that makes a Router a drop-in
 // replacement for a single sjserved (cmd/sjrouter wraps it).
+//
+// Router→shard legs always speak the binary frame transport
+// (internal/wire), whatever the router's own client asked for. The
+// router relays shard frames untouched to a client that negotiated
+// frames, and decodes them into NDJSON lines only at its client edge
+// for every other client, so a routed pair is never JSON-encoded by a
+// shard or parsed back by the router.
 package shard
 
 import (

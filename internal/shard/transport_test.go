@@ -1,18 +1,23 @@
 package shard_test
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"testing"
 
 	"unijoin"
 	"unijoin/client"
 	"unijoin/internal/datagen"
+	"unijoin/internal/geom"
 	"unijoin/internal/shard"
 	"unijoin/internal/wire"
 )
@@ -22,7 +27,11 @@ import (
 // client receives over the negotiated binary transport equals the
 // NDJSON set equals the single-process brute-force answer — on
 // uniform and boundary-adversarial inputs, through the full
-// client → router relay → shards path.
+// client → router relay → shards path. Window record sets must agree
+// the same way. It also proves the router's legs are frames whatever
+// its client speaks: an NDJSON client's unwindowed join and
+// whole-universe window query grow every shard's sj_frames_total
+// PAIRS and RECORDS counters.
 func TestBinaryTransportEqualsNDJSON(t *testing.T) {
 	fixedBounds := []unijoin.Coord{140, 320, 500, 680, 810, 930}
 	advA, advB := adversarial(fixedBounds)
@@ -55,7 +64,7 @@ func TestBinaryTransportEqualsNDJSON(t *testing.T) {
 				} else {
 					plan = shard.NewPlan(universe, k, tc.a, tc.b)
 				}
-				ncl, _, url := startFleet(t, plan, names, rels, true)
+				ncl, router, url := startFleet(t, plan, names, rels, true)
 				bcl := client.New(url, nil)
 				bcl.PreferBinary = true
 				ctx := context.Background()
@@ -90,7 +99,11 @@ func TestBinaryTransportEqualsNDJSON(t *testing.T) {
 							}
 							return got
 						}
+						before := shardFrames(t, router, "pairs")
 						nd := collect(ncl)
+						if !windowed {
+							assertFramesGrew(t, before, shardFrames(t, router, "pairs"))
+						}
 						bin := collect(bcl)
 						if len(nd) != len(want) || len(bin) != len(want) {
 							t.Fatalf("k=%d %s windowed=%v: ndjson %d, binary %d, brute %d pairs",
@@ -107,26 +120,43 @@ func TestBinaryTransportEqualsNDJSON(t *testing.T) {
 					}
 				}
 
-				// Window queries: the record sets must agree too.
-				collectRecs := func(cl *client.Client) map[uint32]client.RecordOut {
+				// Window queries: the record sets must equal brute force
+				// over both transports. The whole universe reaches every
+				// shard's stripe, so each one streams RECORDS frames.
+				collectRecs := func(cl *client.Client, w client.Rect) map[uint32]client.RecordOut {
 					got := map[uint32]client.RecordOut{}
-					if _, err := cl.Window(ctx, client.WindowRequest{Relation: "a", Window: &winDTO},
+					if _, err := cl.Window(ctx, client.WindowRequest{Relation: "a", Window: &w},
 						func(r client.RecordOut) { got[r.ID] = r }); err != nil {
-						t.Fatalf("k=%d window: %v", k, err)
+						t.Fatalf("k=%d window %+v: %v", k, w, err)
 					}
 					return got
 				}
-				ndr, binr := collectRecs(ncl), collectRecs(bcl)
-				if len(ndr) != len(binr) {
-					t.Fatalf("k=%d window: %d records over NDJSON, %d over binary", k, len(ndr), len(binr))
-				}
-				for id, w := range ndr {
-					g, ok := binr[id]
-					if !ok {
-						t.Fatalf("k=%d window: record %d missing over binary", k, id)
+				for _, w := range []client.Rect{winDTO, {XLo: 0, YLo: 0, XHi: 1000, YHi: 1000}} {
+					before := shardFrames(t, router, "records")
+					ndr := collectRecs(ncl, w)
+					if w.XHi == 1000 {
+						assertFramesGrew(t, before, shardFrames(t, router, "records"))
 					}
-					if g.Rect != w.Rect {
-						t.Fatalf("k=%d window: record %d rect %+v over binary, %+v over NDJSON", k, id, g.Rect, w.Rect)
+					binr := collectRecs(bcl, w)
+					want := map[uint32]client.Rect{}
+					wr := unijoin.NewRect(unijoin.Coord(w.XLo), unijoin.Coord(w.YLo), unijoin.Coord(w.XHi), unijoin.Coord(w.YHi))
+					for _, rec := range tc.a {
+						if rec.Rect.Intersects(wr) {
+							want[rec.ID] = client.Rect{
+								XLo: float64(rec.Rect.XLo), YLo: float64(rec.Rect.YLo),
+								XHi: float64(rec.Rect.XHi), YHi: float64(rec.Rect.YHi),
+							}
+						}
+					}
+					if len(ndr) != len(want) || len(binr) != len(want) {
+						t.Fatalf("k=%d window %+v: %d records over NDJSON, %d over binary, brute %d",
+							k, w, len(ndr), len(binr), len(want))
+					}
+					for id, rect := range want {
+						if ndr[id].Rect != rect || binr[id].Rect != rect {
+							t.Fatalf("k=%d window %+v: record %d is %+v over NDJSON, %+v over binary, want %+v",
+								k, w, id, ndr[id].Rect, binr[id].Rect, rect)
+						}
 					}
 				}
 			}
@@ -134,19 +164,61 @@ func TestBinaryTransportEqualsNDJSON(t *testing.T) {
 	}
 }
 
-// frameShardStub serves POST /v1/join with a fixed pre-framed binary
-// body, standing in for a shard whose exact output bytes the test
-// controls.
+// shardFrames scrapes each shard's sj_frames_total{type=typ} counter,
+// in endpoint order.
+func shardFrames(t *testing.T, router *shard.Router, typ string) []float64 {
+	t.Helper()
+	prefix := `sj_frames_total{type="` + typ + `"} `
+	var out []float64
+	for _, ep := range router.Endpoints() {
+		resp, err := http.Get(ep + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := 0.0
+		sc := bufio.NewScanner(resp.Body)
+		for sc.Scan() {
+			if rest, ok := strings.CutPrefix(sc.Text(), prefix); ok {
+				if v, err = strconv.ParseFloat(rest, 64); err != nil {
+					t.Fatalf("%s/metrics: %q: %v", ep, sc.Text(), err)
+				}
+			}
+		}
+		resp.Body.Close()
+		if err := sc.Err(); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, v)
+	}
+	return out
+}
+
+// assertFramesGrew fails unless every shard's frame counter grew.
+func assertFramesGrew(t *testing.T, before, after []float64) {
+	t.Helper()
+	for i := range before {
+		if after[i] <= before[i] {
+			t.Fatalf("shard %d wrote no frames for an NDJSON client's query (%v → %v): its leg was not binary",
+				i, before[i], after[i])
+		}
+	}
+}
+
+// frameShardStub serves POST /v1/join and /v1/window with a fixed
+// pre-framed binary body, standing in for a shard whose exact output
+// bytes the test controls.
 func frameShardStub(t *testing.T, body []byte) string {
 	t.Helper()
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/join", func(w http.ResponseWriter, r *http.Request) {
+	serve := func(w http.ResponseWriter, r *http.Request) {
 		if !wire.Negotiates(r) {
 			t.Error("router did not negotiate the binary transport with the shard")
 		}
 		w.Header().Set("Content-Type", wire.ContentType)
 		w.Write(body)
-	})
+	}
+	mux.HandleFunc("POST /v1/join", serve)
+	mux.HandleFunc("POST /v1/window", serve)
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
 	return ts.URL
@@ -217,17 +289,99 @@ func TestRouterRelayZeroDecode(t *testing.T) {
 	}
 }
 
-// TestRouterReframesNDJSONShard covers the rolling-upgrade case: a
-// shard that only speaks NDJSON behind a router whose client asked
-// for frames. The router must re-frame the shard's batches so the
-// front's output is still a valid frame stream with the same pairs.
-func TestRouterReframesNDJSONShard(t *testing.T) {
+// TestNDJSONEdgeRejectsCorruptFrame pins the NDJSON edge's integrity
+// check: the router decodes shard frames for an NDJSON client, so it
+// must CRC-check each one first. A frame with a broken CRC (the
+// TestRouterRelayZeroDecode fixture) fails the query in the
+// internal-error class with none of its entries written — as an HTTP
+// error when it is the first frame, as a terminal error line after a
+// good frame has already streamed.
+func TestNDJSONEdgeRejectsCorruptFrame(t *testing.T) {
+	pairPayload := func(l, r uint32) []byte {
+		var cell [wire.PairSize]byte
+		geom.EncodePair(cell[:], geom.Pair{Left: l, Right: r})
+		return cell[:]
+	}
+	recPayload := func(id uint32) []byte {
+		var cell [wire.RecordSize]byte
+		geom.EncodeRecord(cell[:], geom.Record{Rect: geom.NewRect(1, 1, 2, 2), ID: id})
+		return cell[:]
+	}
+	win := client.Rect{XLo: 0, YLo: 0, XHi: 10, YHi: 10}
+	for _, kind := range []string{"join", "window"} {
+		for _, lead := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/lead=%v", kind, lead), func(t *testing.T) {
+				typ, good, bad := wire.TypePairs, pairPayload(1, 2), pairPayload(7, 9)
+				var sum any = &client.JoinSummary{Left: "a", Right: "b", Algorithm: "PQ", Pairs: 2}
+				if kind == "window" {
+					typ, good, bad = wire.TypeRecords, recPayload(1), recPayload(7)
+					sum = &client.WindowSummary{Relation: "a", Records: 2}
+				}
+				sumJSON, err := json.Marshal(sum)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var body []byte
+				if lead {
+					body = wire.AppendFrame(body, typ, good)
+				}
+				corrupt := wire.AppendFrame(nil, typ, bad)
+				corrupt[wire.OffCRC] ^= 0xA5
+				body = append(body, corrupt...)
+				body = wire.AppendFrame(body, wire.TypeSummary, sumJSON)
+				body = wire.AppendFrame(body, wire.TypeEnd, nil)
+
+				router, err := shard.NewRouter([]string{frameShardStub(t, body)}, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				svc := shard.NewService(shard.ServiceConfig{Router: router, Logger: discard()})
+				front := httptest.NewServer(svc.Handler())
+				t.Cleanup(front.Close)
+				ncl := client.New(front.URL, nil)
+
+				var got []uint32
+				if kind == "join" {
+					_, err = ncl.Join(context.Background(), client.JoinRequest{Left: "a", Right: "b"},
+						func(l, r uint32) { got = append(got, l) })
+				} else {
+					_, err = ncl.Window(context.Background(), client.WindowRequest{Relation: "a", Window: &win},
+						func(r client.RecordOut) { got = append(got, r.ID) })
+				}
+				if !errors.Is(err, client.ErrInternal) {
+					t.Fatalf("corrupt frame error = %v, want the ErrInternal class", err)
+				}
+				want := []uint32(nil)
+				if lead {
+					// The good frame streamed, so the HTTP status was
+					// already sent: the error arrived as the last line.
+					want = []uint32{1}
+				}
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("streamed %v, want %v: the corrupt frame's entries leaked", got, want)
+				}
+			})
+		}
+	}
+}
+
+// TestRouterRejectsNDJSONShard pins the end of the mixed-fleet
+// fallback: router→shard legs are always frames, so a shard that
+// answers NDJSON is a broken peer. The query fails with a typed 502
+// naming the shard, for NDJSON and binary clients alike — never an
+// empty or partial answer.
+func TestRouterRejectsNDJSONShard(t *testing.T) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/join", func(w http.ResponseWriter, r *http.Request) {
 		// An old shard: ignores Accept, always answers NDJSON.
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		io.WriteString(w, `{"pairs":[[1,2],[3,4]]}`+"\n")
 		io.WriteString(w, `{"summary":{"left":"a","right":"b","algorithm":"PQ","pairs":2,"left_records":2,"right_records":2,"elapsed_ms":1}}`+"\n")
+	})
+	mux.HandleFunc("POST /v1/window", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		io.WriteString(w, `{"records":[{"id":1,"rect":{"xlo":1,"ylo":1,"xhi":2,"yhi":2}}]}`+"\n")
+		io.WriteString(w, `{"summary":{"relation":"a","records":1,"elapsed_ms":1}}`+"\n")
 	})
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
@@ -240,16 +394,28 @@ func TestRouterReframesNDJSONShard(t *testing.T) {
 	front := httptest.NewServer(svc.Handler())
 	t.Cleanup(front.Close)
 
-	bcl := client.New(front.URL, nil)
-	bcl.PreferBinary = true
-	var got [][2]uint32
-	sum, err := bcl.Join(context.Background(), client.JoinRequest{Left: "a", Right: "b"},
-		func(l, r uint32) { got = append(got, [2]uint32{l, r}) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Pairs != 2 || len(got) != 2 || got[0] != [2]uint32{1, 2} || got[1] != [2]uint32{3, 4} {
-		t.Fatalf("reframed stream: pairs %v, summary %+v", got, sum)
+	win := client.Rect{XLo: 0, YLo: 0, XHi: 10, YHi: 10}
+	for _, binary := range []bool{false, true} {
+		cl := client.New(front.URL, nil)
+		cl.PreferBinary = binary
+		streamed := 0
+		jsum, jerr := cl.Join(context.Background(), client.JoinRequest{Left: "a", Right: "b"},
+			func(l, r uint32) { streamed++ })
+		wsum, werr := cl.Window(context.Background(), client.WindowRequest{Relation: "a", Window: &win},
+			func(client.RecordOut) { streamed++ })
+		for _, err := range []error{jerr, werr} {
+			var apiErr *client.APIError
+			if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadGateway || !errors.Is(err, client.ErrUnavailable) {
+				t.Fatalf("binary=%v: NDJSON shard error = %v, want a typed 502", binary, err)
+			}
+			if !strings.Contains(err.Error(), ts.URL) {
+				t.Fatalf("binary=%v: error %q does not name the shard %s", binary, err, ts.URL)
+			}
+		}
+		if jsum != nil || wsum != nil || streamed != 0 {
+			t.Fatalf("binary=%v: NDJSON shard produced an answer: join %+v, window %+v, %d entries streamed",
+				binary, jsum, wsum, streamed)
+		}
 	}
 }
 

@@ -84,15 +84,15 @@ func decodeJoinFrames(body io.Reader, onBatch func([][2]uint32)) (*JoinSummary, 
 	for {
 		f, err := dec.Next()
 		if errors.Is(err, io.EOF) {
-			return nil, frameError("sjserved: join frame stream ended without an END frame")
+			return nil, frameError("join frame stream ended without an END frame")
 		}
 		if err != nil {
-			return nil, frameError("sjserved: %v", err)
+			return nil, frameError("%v", err)
 		}
 		switch f.Type {
 		case wire.TypePairs:
 			if pairs, err = f.Pairs(pairs[:0]); err != nil {
-				return nil, frameError("sjserved: %v", err)
+				return nil, frameError("%v", err)
 			}
 			if onBatch != nil && len(pairs) > 0 {
 				onBatch(pairs)
@@ -100,23 +100,23 @@ func decodeJoinFrames(body io.Reader, onBatch func([][2]uint32)) (*JoinSummary, 
 		case wire.TypeSummary:
 			summary = new(JoinSummary)
 			if err := json.Unmarshal(f.Payload, summary); err != nil {
-				return nil, frameError("sjserved: bad summary frame: %v", err)
+				return nil, frameError("bad summary frame: %v", err)
 			}
 		case wire.TypeError:
 			apiErr = new(APIError)
 			if err := json.Unmarshal(f.Payload, apiErr); err != nil {
-				return nil, frameError("sjserved: bad error frame: %v", err)
+				return nil, frameError("bad error frame: %v", err)
 			}
 		case wire.TypeEnd:
 			if apiErr != nil {
 				return nil, apiErr
 			}
 			if summary == nil {
-				return nil, frameError("sjserved: join frame stream ended without a summary")
+				return nil, frameError("join frame stream ended without a summary")
 			}
 			return summary, nil
 		default:
-			return nil, frameError("sjserved: unexpected %s frame in a join stream", f.Type)
+			return nil, frameError("unexpected %s frame in a join stream", f.Type)
 		}
 	}
 }
@@ -161,15 +161,15 @@ func decodeWindowFrames(body io.Reader, onBatch func([]RecordOut)) (*WindowSumma
 	for {
 		f, err := dec.Next()
 		if errors.Is(err, io.EOF) {
-			return nil, frameError("sjserved: window frame stream ended without an END frame")
+			return nil, frameError("window frame stream ended without an END frame")
 		}
 		if err != nil {
-			return nil, frameError("sjserved: %v", err)
+			return nil, frameError("%v", err)
 		}
 		switch f.Type {
 		case wire.TypeRecords:
 			if recs, err = f.Records(recs[:0]); err != nil {
-				return nil, frameError("sjserved: %v", err)
+				return nil, frameError("%v", err)
 			}
 			if onBatch != nil && len(recs) > 0 {
 				out = out[:0]
@@ -184,23 +184,23 @@ func decodeWindowFrames(body io.Reader, onBatch func([]RecordOut)) (*WindowSumma
 		case wire.TypeSummary:
 			summary = new(WindowSummary)
 			if err := json.Unmarshal(f.Payload, summary); err != nil {
-				return nil, frameError("sjserved: bad summary frame: %v", err)
+				return nil, frameError("bad summary frame: %v", err)
 			}
 		case wire.TypeError:
 			apiErr = new(APIError)
 			if err := json.Unmarshal(f.Payload, apiErr); err != nil {
-				return nil, frameError("sjserved: bad error frame: %v", err)
+				return nil, frameError("bad error frame: %v", err)
 			}
 		case wire.TypeEnd:
 			if apiErr != nil {
 				return nil, apiErr
 			}
 			if summary == nil {
-				return nil, frameError("sjserved: window frame stream ended without a summary")
+				return nil, frameError("window frame stream ended without a summary")
 			}
 			return summary, nil
 		default:
-			return nil, frameError("sjserved: unexpected %s frame in a window stream", f.Type)
+			return nil, frameError("unexpected %s frame in a window stream", f.Type)
 		}
 	}
 }
@@ -244,7 +244,7 @@ func rawFrames[S any](ctx context.Context, c *Client, path string, req any, data
 	}
 	var summary S
 	if err := json.Unmarshal(raw, &summary); err != nil {
-		return nil, frameError("sjserved: bad summary frame: %v", err)
+		return nil, frameError("bad summary frame: %v", err)
 	}
 	return &summary, nil
 }
@@ -261,10 +261,10 @@ func relayFrames(body io.Reader, dataType wire.Type, onFrame func(raw []byte) er
 	for {
 		t, raw, err := sc.Next()
 		if errors.Is(err, io.EOF) {
-			return nil, frameError("sjserved: frame stream ended without an END frame")
+			return nil, frameError("frame stream ended without an END frame")
 		}
 		if err != nil {
-			return nil, frameError("sjserved: %v", err)
+			return nil, frameError("%v", err)
 		}
 		switch t {
 		case dataType:
@@ -275,7 +275,7 @@ func relayFrames(body io.Reader, dataType wire.Type, onFrame func(raw []byte) er
 			}
 		case wire.TypeSummary, wire.TypeError:
 			if err := wire.Verify(raw); err != nil {
-				return nil, frameError("sjserved: %v", err)
+				return nil, frameError("%v", err)
 			}
 			if t == wire.TypeSummary {
 				summaryPayload = append(summaryPayload[:0], raw[wire.HeaderSize:]...)
@@ -283,18 +283,18 @@ func relayFrames(body io.Reader, dataType wire.Type, onFrame func(raw []byte) er
 			}
 			apiErr = new(APIError)
 			if err := json.Unmarshal(raw[wire.HeaderSize:], apiErr); err != nil {
-				return nil, frameError("sjserved: bad error frame: %v", err)
+				return nil, frameError("bad error frame: %v", err)
 			}
 		case wire.TypeEnd:
 			if apiErr != nil {
 				return nil, apiErr
 			}
 			if summaryPayload == nil {
-				return nil, frameError("sjserved: frame stream ended without a summary")
+				return nil, frameError("frame stream ended without a summary")
 			}
 			return summaryPayload, nil
 		default:
-			return nil, frameError("sjserved: unexpected %s frame in the stream", t)
+			return nil, frameError("unexpected %s frame in the stream", t)
 		}
 	}
 }

@@ -33,19 +33,13 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"unijoin/internal/httpapi"
 	"unijoin/internal/shard"
 )
-
-// shutdownGrace is how long in-flight requests get after SIGTERM.
-const shutdownGrace = 10 * time.Second
 
 // repeatable collects the values of a repeatable flag.
 type repeatable []string
@@ -82,50 +76,10 @@ func main() {
 		Router: router, Timeout: *timeout, Logger: log,
 		Traces: *traces, SlowQuery: *slowQuery,
 	})
-	httpSrv := httpapi.NewServer(*addr, svc.Handler())
-
-	var pprofSrv *http.Server
-	if *pprofAddr != "" {
-		// Same side-listener rule as sjserved: profiling never rides
-		// the query port, a bind failure is fatal, and the handle is
-		// kept so the graceful drain closes this listener too.
-		pprofSrv = httpapi.NewServer(*pprofAddr, httpapi.PprofMux())
-		go func() {
-			log.Info("pprof listening", "addr", *pprofAddr)
-			if err := pprofSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				fail(err)
-			}
-		}()
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.ListenAndServe() }()
 	log.Info("routing", "addr", *addr, "shards", router.Shards(), "timeout", timeout.String())
-
-	select {
-	case err := <-errc:
+	if err := httpapi.ListenAndDrain(log, *addr, *pprofAddr, svc.Handler()); err != nil {
 		fail(err)
-	case <-ctx.Done():
 	}
-
-	log.Info("shutting down", "grace", shutdownGrace.String())
-	if pprofSrv != nil {
-		// Profiling sessions have no drain semantics worth waiting on;
-		// close the side listener immediately.
-		pprofSrv.Close()
-	}
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-		// In-flight streams outliving the grace period are load
-		// shedding, not a crash: cut them and exit 0 as documented.
-		log.Warn("shutdown grace expired, closing remaining connections", "err", err)
-		httpSrv.Close()
-	}
-	log.Info("bye")
 }
 
 // awaitFleet retries Router.Verify — every shard healthy, stripes

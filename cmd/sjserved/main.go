@@ -39,17 +39,13 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
-	"net/http"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
 	"unijoin"
@@ -59,9 +55,6 @@ import (
 	"unijoin/internal/shard"
 	"unijoin/internal/tiger"
 )
-
-// shutdownGrace is how long in-flight requests get after SIGTERM.
-const shutdownGrace = 10 * time.Second
 
 // repeatable collects the values of a repeatable flag.
 type repeatable []string
@@ -120,53 +113,10 @@ func main() {
 		Traces: *traces, SlowQuery: *slowQuery,
 		WorkloadLo: float64(universe.XLo), WorkloadHi: float64(universe.XHi),
 	})
-	httpSrv := httpapi.NewServer(*addr, srv.Handler())
-
-	var pprofSrv *http.Server
-	if *pprofAddr != "" {
-		// The profiler rides its own listener, so it is never exposed
-		// on the query port; a failure to bind is fatal because asking
-		// for profiling and silently not getting it is worse. The
-		// server handle is kept so the graceful drain closes this
-		// listener too instead of leaking it until process exit.
-		pprofSrv = httpapi.NewServer(*pprofAddr, httpapi.PprofMux())
-		go func() {
-			log.Info("pprof listening", "addr", *pprofAddr)
-			if err := pprofSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				fail(err)
-			}
-		}()
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.ListenAndServe() }()
 	log.Info("serving", "addr", *addr, "relations", cat.Len(), "timeout", timeout.String())
-
-	select {
-	case err := <-errc:
+	if err := httpapi.ListenAndDrain(log, *addr, *pprofAddr, srv.Handler()); err != nil {
 		fail(err)
-	case <-ctx.Done():
 	}
-
-	log.Info("shutting down", "grace", shutdownGrace.String())
-	if pprofSrv != nil {
-		// Profiling sessions have no drain semantics worth waiting on;
-		// close the side listener immediately.
-		pprofSrv.Close()
-	}
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-		// A request outliving the grace period is routine load
-		// shedding, not a crash: cut the stragglers and exit 0 as
-		// documented so orchestrators treat the stop as clean.
-		log.Warn("shutdown grace expired, closing remaining connections", "err", err)
-		httpSrv.Close()
-	}
-	log.Info("bye")
 }
 
 // buildCatalog loads every requested relation and builds the

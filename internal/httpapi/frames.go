@@ -44,7 +44,7 @@ type FrameWriter struct {
 
 // NewFrameWriter wraps a response writer for frame streaming. observe
 // (which may be nil) receives per-type frame and byte counts after
-// each emit — the hook the serving layers hang their sj_frames_total
+// each emit — the hook the front hangs its sj_frames_total
 // families on.
 func NewFrameWriter(w http.ResponseWriter, observe func(t wire.Type, frames, bytes int64)) *FrameWriter {
 	fw := &FrameWriter{w: w, observe: observe}
@@ -57,10 +57,6 @@ func NewFrameWriter(w http.ResponseWriter, observe func(t wire.Type, frames, byt
 // Started reports whether any frame has been written — the point of
 // no return for the HTTP status code.
 func (fw *FrameWriter) Started() bool { return fw.started }
-
-// ResponseWriter returns the underlying writer, for sending a proper
-// error status while the stream is still unstarted.
-func (fw *FrameWriter) ResponseWriter() http.ResponseWriter { return fw.w }
 
 // Close releases the encoder's scratch buffer.
 func (fw *FrameWriter) Close() { fw.enc.Close() }

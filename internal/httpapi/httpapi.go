@@ -1,19 +1,32 @@
-// Package httpapi is the HTTP plumbing shared by the query service
-// (internal/server) and the shard router front (internal/shard):
-// NDJSON line streaming, plain JSON bodies, request decoding, and
-// the {"error": {...}} envelope. Both processes speak the exact same
-// wire format — a client must not be able to tell sjrouter from
-// sjserved — so the plumbing exists exactly once.
+// Package httpapi is the one HTTP front of both serving processes.
+// sjserved and sjrouter run the same Front — one route table, one
+// handler per endpoint, one middleware, one error mapping — over a
+// Backend: the local catalog of internal/server, or the shard fleet
+// of shard.Router. A client cannot tell sjrouter from sjserved,
+// because there is nothing to tell apart above the Backend.
+//
+// Results reach the client through a Stream, the one client-edge
+// writer, which encodes NDJSON lines or binary frames (internal/wire)
+// as the request negotiated. The package also holds the pieces under
+// it: line and frame writers, JSON bodies and the {"error": {...}}
+// envelope, request IDs, trace endpoints, and the listener setup both
+// binaries share.
 package httpapi
 
 import (
 	"bytes"
+	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
+	"log/slog"
 	"net/http"
 	"net/http/pprof"
+	"os"
+	"os/signal"
 	"sync"
+	"syscall"
 	"time"
 
 	"unijoin/client"
@@ -65,10 +78,6 @@ func NewLineWriter(w http.ResponseWriter) *LineWriter {
 
 // Started reports whether a line has already been written.
 func (lw *LineWriter) Started() bool { return lw.started }
-
-// ResponseWriter returns the underlying writer, for sending a proper
-// error status while the stream is still unstarted.
-func (lw *LineWriter) ResponseWriter() http.ResponseWriter { return lw.w }
 
 // WriteLine marshals v and sends it as one flushed NDJSON line.
 func (lw *LineWriter) WriteLine(v any) {
@@ -224,6 +233,55 @@ func PprofMux() *http.ServeMux {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
+}
+
+// shutdownGrace is how long in-flight requests get to finish after
+// SIGINT or SIGTERM before their connections are cut.
+const shutdownGrace = 10 * time.Second
+
+// ListenAndDrain serves h on addr until SIGINT or SIGTERM, then drains
+// gracefully: in-flight requests get shutdownGrace to finish, and any
+// still running after it are cut, which is routine load shedding, not
+// a crash. With pprofAddr set it also serves PprofMux on that side
+// address, so profiling never rides the query port; the side listener
+// closes at once on shutdown, since profiles have nothing to drain.
+// It returns nil after the drain, or the first listener error, such
+// as a failure to bind either address: asking for profiling and
+// silently not getting it is worse than not starting.
+func ListenAndDrain(log *slog.Logger, addr, pprofAddr string, h http.Handler) error {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	errc := make(chan error, 2) // at most one send per listener, so neither blocks
+	srv := NewServer(addr, h)
+	go func() { errc <- srv.ListenAndServe() }()
+	var pprofSrv *http.Server
+	if pprofAddr != "" {
+		pprofSrv = NewServer(pprofAddr, PprofMux())
+		go func() {
+			log.Info("pprof listening", "addr", pprofAddr)
+			if err := pprofSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
+				errc <- err
+			}
+		}()
+	}
+	select {
+	case err := <-errc:
+		return err
+	case <-ctx.Done():
+	}
+
+	log.Info("shutting down", "grace", shutdownGrace.String())
+	if pprofSrv != nil {
+		pprofSrv.Close()
+	}
+	shutdownCtx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+	defer cancel()
+	if err := srv.Shutdown(shutdownCtx); err != nil {
+		log.Warn("shutdown grace expired, closing remaining connections", "err", err)
+		srv.Close()
+	}
+	log.Info("bye")
+	return nil
 }
 
 // DecodeBody parses a JSON request body, returning an API error for

@@ -61,7 +61,7 @@ func spanDTO(s *obs.Span, base time.Time) *client.Span {
 
 // TracesHandler serves GET /v1/traces: recent trace summaries, newest
 // first, at most ?n= of them (default defaultTraceListing). Both
-// serving layers mount this one handler, so a client cannot tell a
+// processes serve it from the one front, so a client cannot tell a
 // router's listing from a shard's by shape.
 func TracesHandler(store *obs.TraceStore) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -119,4 +119,40 @@ func TraceByIDHandler(store *obs.TraceStore) http.HandlerFunc {
 			Root:           SpanDTO(t.Root),
 		})
 	}
+}
+
+// PhaseTrace derives a join summary's phase object from its span
+// tree: per phase, the longest partition, sweep or stream child of any
+// server.join span in the tree. On a server the root is that
+// server.join span; on a router the server.join subtrees hang under
+// the scatter legs, and the maximum is the slowest shard's phase, the
+// one the client waited for, since the shards run concurrently. A tree
+// with no server.join span has no phases and yields nil.
+func PhaseTrace(root *obs.Span) *client.PhaseTrace {
+	var t *client.PhaseTrace
+	var walk func(s *obs.Span)
+	walk = func(s *obs.Span) {
+		if s.Name != "server.join" {
+			for _, c := range s.Children {
+				walk(c)
+			}
+			return
+		}
+		if t == nil {
+			t = &client.PhaseTrace{}
+		}
+		for _, c := range s.Children {
+			ms := float64(c.Duration) / float64(time.Millisecond)
+			switch c.Name {
+			case "partition":
+				t.PartitionMillis = max(t.PartitionMillis, ms)
+			case "sweep":
+				t.SweepMillis = max(t.SweepMillis, ms)
+			case "stream":
+				t.StreamMillis = max(t.StreamMillis, ms)
+			}
+		}
+	}
+	walk(root)
+	return t
 }

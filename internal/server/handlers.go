@@ -10,7 +10,7 @@ import (
 	"unijoin"
 	"unijoin/client"
 	"unijoin/internal/httpapi"
-	"unijoin/internal/wire"
+	"unijoin/internal/obs"
 )
 
 // maxParallelism caps the per-request worker count: the parallel
@@ -19,11 +19,12 @@ import (
 // workers is far past any host this serves.
 const maxParallelism = 256
 
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	httpapi.WriteJSON(w, map[string]string{"status": "ok"})
-}
+// Health reports the service healthy: a local catalog can always
+// answer.
+func (s *Server) Health(context.Context) error { return nil }
 
-func (s *Server) handleRelations(w http.ResponseWriter, r *http.Request) {
+// Relations lists the catalog, with the stripe in stripe mode.
+func (s *Server) Relations(context.Context) ([]client.RelationInfo, error) {
 	names := s.cat.Names()
 	stripe := s.stripeDTO()
 	out := make([]client.RelationInfo, 0, len(names))
@@ -36,34 +37,23 @@ func (s *Server) handleRelations(w http.ResponseWriter, r *http.Request) {
 		info.Stripe = stripe
 		out = append(out, info)
 	}
-	httpapi.WriteJSON(w, out)
+	return out, nil
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	httpapi.WriteJSON(w, s.Stats())
-}
-
-func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
-	s.metrics.joins.Inc()
-	var req client.JoinRequest
-	if apiErr := httpapi.DecodeBody(w, r, &req); apiErr != nil {
-		httpapi.WriteError(w, apiErr)
-		return
-	}
+// Join runs one join over the catalog, streaming its pairs into out
+// in batches of the configured size.
+func (s *Server) Join(ctx context.Context, req client.JoinRequest, out *httpapi.Stream) (*client.JoinSummary, *obs.Span, error) {
 	left, ok := s.cat.Get(req.Left)
 	if !ok {
-		httpapi.WriteError(w, notFoundErr("left", req.Left))
-		return
+		return nil, nil, notFoundErr("left", req.Left)
 	}
 	right, ok := s.cat.Get(req.Right)
 	if !ok {
-		httpapi.WriteError(w, notFoundErr("right", req.Right))
-		return
+		return nil, nil, notFoundErr("right", req.Right)
 	}
 	alg, err := unijoin.ParseAlgorithm(req.Algorithm)
 	if err != nil {
-		httpapi.WriteError(w, badRequestErr(err))
-		return
+		return nil, nil, badRequestErr(err)
 	}
 	// The workload recorder sees every accepted query: the relation
 	// names are catalog-validated above and the algorithm comes from
@@ -75,32 +65,15 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	} else {
 		s.workload.ObserveUnwindowed()
 	}
-	ctx, cancel := requestContext(r, req.TimeoutMillis)
-	defer cancel()
 
-	binary := wire.Negotiates(r)
-	var lw *httpapi.LineWriter
-	var fs *httpapi.FrameWriter
-	if binary {
-		fs = s.newFrameStream(w)
-		defer fs.Close()
-	} else {
-		lw = httpapi.NewLineWriter(w)
-		defer lw.Close()
-	}
-	// flushPairs streams one batch on whichever transport was
-	// negotiated, accumulating the stream phase: wall time spent
-	// encoding and flushing (all writes happen on this goroutine —
-	// EmitBatch callbacks run synchronously).
+	// flushPairs streams one batch, accumulating the stream phase:
+	// wall time spent encoding and flushing (all writes happen on this
+	// goroutine — EmitBatch callbacks run synchronously).
 	var streamTime time.Duration
 	flushPairs := func(batch [][2]uint32) {
 		s.metrics.pairsStreamed.Add(int64(len(batch)))
 		t0 := time.Now()
-		if binary {
-			fs.WritePairs(batch)
-		} else {
-			lw.WriteLine(client.JoinLine{Pairs: batch})
-		}
+		out.WritePairs(batch)
 		streamTime += time.Since(t0)
 	}
 	parallelism := min(max(req.Parallelism, 0), maxParallelism)
@@ -134,67 +107,41 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	res, err := q.Run(ctx)
 	if err != nil {
-		if binary {
-			s.finishErrorFrames(fs, err)
-		} else {
-			s.finishError(lw, err, func(e *client.APIError) any { return client.JoinLine{Error: e} })
-		}
-		return
+		return nil, nil, typed(err)
 	}
 	if len(pairs) > 0 {
 		flushPairs(pairs)
 	}
 	elapsed := time.Since(start)
-	count := res.Count()
-	phases := phaseSeconds{
-		partition: res.PartitionWall.Seconds(),
-		sweep:     res.SweepWall.Seconds(),
-		stream:    streamTime.Seconds(),
-	}
-	s.metrics.observeJoin(alg.String(), elapsed.Seconds(), phases)
-	sum := joinSummary(req, alg, left, right, count, elapsed)
+	s.metrics.observeJoin(alg.String(), elapsed, res.PartitionWall, res.SweepWall, streamTime)
 	root := joinSpan(start, elapsed, res.PartitionWall, res.SweepWall, streamTime)
 	root.SetAttr("left", req.Left).SetAttr("right", req.Right).
 		SetAttr("algorithm", alg.String())
-	s.recordTrace(r, "join", root)
-	if req.Trace {
-		sum.Trace = &client.PhaseTrace{
-			PartitionMillis: phases.partition * 1000,
-			SweepMillis:     phases.sweep * 1000,
-			StreamMillis:    phases.stream * 1000,
-		}
-		sum.Spans = httpapi.SpanDTO(root)
-	}
-	if binary {
-		fs.WriteSummary(sum)
-		fs.End()
-	} else {
-		lw.WriteLine(client.JoinLine{Summary: sum})
-	}
+	return &client.JoinSummary{
+		Left:          req.Left,
+		Right:         req.Right,
+		Algorithm:     alg.String(),
+		Pairs:         res.Count(),
+		LeftRecords:   left.Len(),
+		RightRecords:  right.Len(),
+		ElapsedMillis: float64(elapsed.Microseconds()) / 1000,
+	}, root, nil
 }
 
-func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request) {
-	s.metrics.windows.Inc()
-	var req client.WindowRequest
-	if apiErr := httpapi.DecodeBody(w, r, &req); apiErr != nil {
-		httpapi.WriteError(w, apiErr)
-		return
-	}
+// Window runs one window query, streaming its records into out in
+// batches of the configured size.
+func (s *Server) Window(ctx context.Context, req client.WindowRequest, out *httpapi.Stream) (*client.WindowSummary, *obs.Span, error) {
 	rel, ok := s.cat.Get(req.Relation)
 	if !ok {
-		httpapi.WriteError(w, notFoundErr("relation", req.Relation))
-		return
+		return nil, nil, notFoundErr("relation", req.Relation)
 	}
 	if req.Window == nil {
-		httpapi.WriteError(w, badRequestErr(fmt.Errorf("window query needs a \"window\" rectangle")))
-		return
+		return nil, nil, badRequestErr(fmt.Errorf("window query needs a \"window\" rectangle"))
 	}
 	// Window queries always carry a rectangle, so they always feed the
 	// x-histogram; the relation name is catalog-validated above.
 	s.workload.ObserveQuery(req.Relation, "window")
 	s.workload.ObserveWindow(req.Window.XLo, req.Window.XHi)
-	ctx, cancel := requestContext(r, req.TimeoutMillis)
-	defer cancel()
 	// Pin once: the scan and the summary's Indexed field must describe
 	// the same epoch.
 	pv := rel.Pin()
@@ -204,33 +151,17 @@ func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request) {
 	// shard, so a router's merged stream has no replicated
 	// boundary-record duplicates — and the count must come from the
 	// filtered emit path rather than WindowQuery's total.
-	binary := wire.Negotiates(r)
-	var lw *httpapi.LineWriter
-	var fs *httpapi.FrameWriter
-	if binary {
-		fs = s.newFrameStream(w)
-		defer fs.Close()
-	} else {
-		lw = httpapi.NewLineWriter(w)
-		defer lw.Close()
-	}
 	var owned int64
 	var emit func(unijoin.Record)
-	// Records accumulate in the kernel's own representation; the
-	// NDJSON transport converts per batch (into a reused buffer), the
-	// binary transport packs them directly — no float64 detour.
+	// Records accumulate in the kernel's own representation and go to
+	// the stream per batch: the binary transport packs them directly,
+	// with no float64 detour.
 	var recs []unijoin.Record
-	var out []client.RecordOut
 	var streamTime time.Duration
 	flushRecs := func() {
 		s.metrics.recordsStreamed.Add(int64(len(recs)))
 		t0 := time.Now()
-		if binary {
-			fs.WriteRecords(recs)
-		} else {
-			out = httpapi.AppendRecordsOut(out[:0], recs)
-			lw.WriteLine(client.WindowLine{Records: out})
-		}
+		out.WriteRecords(recs)
 		streamTime += time.Since(t0)
 		recs = recs[:0]
 	}
@@ -255,12 +186,7 @@ func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	n, err := pv.WindowQuery(ctx, toRect(*req.Window), emit)
 	if err != nil {
-		if binary {
-			s.finishErrorFrames(fs, err)
-		} else {
-			s.finishError(lw, err, func(e *client.APIError) any { return client.WindowLine{Error: e} })
-		}
-		return
+		return nil, nil, typed(err)
 	}
 	if len(recs) > 0 {
 		flushRecs()
@@ -271,43 +197,81 @@ func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request) {
 	elapsed := time.Since(start)
 	root := windowSpan(start, elapsed, streamTime)
 	root.SetAttr("relation", req.Relation)
-	s.recordTrace(r, "window", root)
-	sum := &client.WindowSummary{
+	return &client.WindowSummary{
 		Relation:      req.Relation,
 		Records:       n,
 		Indexed:       pv.Indexed(),
 		ElapsedMillis: float64(elapsed.Microseconds()) / 1000,
-	}
-	if binary {
-		fs.WriteSummary(sum)
-		fs.End()
-	} else {
-		lw.WriteLine(client.WindowLine{Summary: sum})
-	}
+	}, root, nil
 }
 
-// requestContext narrows the request's context (which already carries
-// the middleware's server-side ceiling and the client-disconnect
-// signal) by the request body's own timeout, if any.
-func requestContext(r *http.Request, timeoutMillis int64) (context.Context, context.CancelFunc) {
-	ctx := r.Context()
-	if timeoutMillis > 0 {
-		return context.WithTimeout(ctx, time.Duration(timeoutMillis)*time.Millisecond)
+// Append adds records to a cataloged relation. The append is atomic:
+// all records land in one new epoch, visible to every query started
+// after it returns, invisible to queries already running. In stripe
+// mode the shard keeps only the records overlapping its stripe,
+// exactly the slice it would have loaded at startup, so a router
+// fanning an append across a fleet reproduces the single-process
+// state.
+func (s *Server) Append(_ context.Context, name string, ins []client.RecordIn) (*client.AppendSummary, error) {
+	rel, ok := s.cat.Get(name)
+	if !ok {
+		return nil, notFoundErr("append", name)
 	}
-	return context.WithCancel(ctx)
+	recs := make([]unijoin.Record, 0, len(ins))
+	for i, in := range ins {
+		rec := unijoin.Record{ID: unijoin.ID(in.ID), Rect: toRect(in.Rect)}
+		if !rec.Rect.Valid() {
+			return nil, badRequestErr(fmt.Errorf("record %d (id %d) has an invalid rectangle", i, in.ID))
+		}
+		if s.stripe == nil || s.stripe.Loads(rec.Rect) {
+			recs = append(recs, rec)
+		}
+	}
+	start := time.Now()
+	res, err := rel.Append(recs)
+	if err != nil {
+		return nil, typed(err)
+	}
+	delta := rel.DeltaRecords()
+	//lint:bounded name is catalog-validated above; cardinality is the relation count
+	s.metrics.observeIngest(name, int64(res.Appended), time.Since(start).Seconds(), res.Compacted, delta)
+	return &client.AppendSummary{
+		Relation:     name,
+		Appended:     int64(res.Appended),
+		Records:      res.Total,
+		Epoch:        res.Epoch,
+		DeltaRecords: delta,
+		Compacted:    res.Compacted,
+	}, nil
 }
 
-// joinSummary assembles the terminal line of a join response.
-func joinSummary(req client.JoinRequest, alg unijoin.Algorithm, left, right *unijoin.Relation, pairs int64, elapsed time.Duration) *client.JoinSummary {
-	return &client.JoinSummary{
-		Left:          req.Left,
-		Right:         req.Right,
-		Algorithm:     alg.String(),
-		Pairs:         pairs,
-		LeftRecords:   left.Len(),
-		RightRecords:  right.Len(),
-		ElapsedMillis: float64(elapsed.Microseconds()) / 1000,
+// joinSpan assembles a join request's span tree from the phases the
+// engine and the handler measured. Partition leads; the sweep and the
+// stream both start when it ends (streaming happens from the sweep's
+// emit callbacks, so the two overlap rather than chain).
+func joinSpan(start time.Time, elapsed, partition, sweep, stream time.Duration) *obs.Span {
+	root := &obs.Span{
+		ID: obs.NewSpanID(), Name: "server.join",
+		Start: start, Duration: elapsed,
 	}
+	root.Child("partition", 0, partition)
+	root.Child("sweep", partition, sweep)
+	root.Child("stream", partition, stream)
+	return root
+}
+
+// windowSpan assembles a window request's span tree: the scan is
+// everything that wasn't spent encoding/flushing, and the stream child
+// interleaves it (emit callbacks run inside the scan), so both start
+// at the root.
+func windowSpan(start time.Time, elapsed, stream time.Duration) *obs.Span {
+	root := &obs.Span{
+		ID: obs.NewSpanID(), Name: "server.window",
+		Start: start, Duration: elapsed,
+	}
+	root.Child("scan", 0, max(elapsed-stream, 0))
+	root.Child("stream", 0, stream)
+	return root
 }
 
 // relationInfo maps a cataloged relation to its wire description. An
@@ -328,52 +292,21 @@ func relationInfo(name string, rel *unijoin.Relation) client.RelationInfo {
 	return info
 }
 
-// finishError reports a failed query: as a proper HTTP status when
-// nothing has been streamed yet, or as a terminal error line when the
-// response is already under way (the status line is long gone by
-// then). Cancellations are counted separately — they are load
-// shedding, not bugs.
-func (s *Server) finishError(lw *httpapi.LineWriter, err error, wrap func(*client.APIError) any) {
-	apiErr := errorFor(err)
-	if apiErr.Code == client.CodeCanceled {
-		s.metrics.canceled.Inc()
-	}
-	if !lw.Started() {
-		httpapi.WriteError(lw.ResponseWriter(), apiErr) // the middleware counts non-canceled statuses
-		return
-	}
-	if apiErr.Code != client.CodeCanceled {
-		s.metrics.errors.Inc()
-	}
-	lw.WriteLine(wrap(apiErr))
-}
-
-// errorFor classifies a query error into the API's error space.
-func errorFor(err error) *client.APIError {
+// typed gives an engine error its API class. Cancellations stay
+// context errors (unijoin.ErrCanceled wraps context.Canceled), which
+// the front answers as 504.
+func typed(err error) error {
+	var status int
+	var code string
 	switch {
-	case errors.Is(err, unijoin.ErrCanceled),
-		errors.Is(err, context.Canceled),
-		errors.Is(err, context.DeadlineExceeded):
-		return &client.APIError{
-			Status: http.StatusGatewayTimeout, Code: client.CodeCanceled,
-			Message: err.Error(),
-		}
 	case errors.Is(err, unijoin.ErrNeedsIndex):
-		return &client.APIError{
-			Status: http.StatusUnprocessableEntity, Code: client.CodeNeedsIndex,
-			Message: err.Error(),
-		}
+		status, code = http.StatusUnprocessableEntity, client.CodeNeedsIndex
 	case errors.Is(err, unijoin.ErrNilRelation):
-		return &client.APIError{
-			Status: http.StatusNotFound, Code: client.CodeNotFound,
-			Message: err.Error(),
-		}
+		status, code = http.StatusNotFound, client.CodeNotFound
 	default:
-		return &client.APIError{
-			Status: http.StatusInternalServerError, Code: client.CodeInternal,
-			Message: err.Error(),
-		}
+		return err
 	}
+	return &client.APIError{Status: status, Code: code, Message: err.Error()}
 }
 
 // notFoundErr is the unknown-relation error.

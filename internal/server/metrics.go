@@ -1,40 +1,26 @@
 package server
 
 import (
+	"time"
+
+	"unijoin/internal/httpapi"
 	"unijoin/internal/obs"
 )
 
 // metrics is the server's instrumentation: every counter behind
-// GET /v1/stats plus the request/join histograms exposed on
-// GET /metrics. All handles come from one obs.Registry, so the stats
-// endpoint and the Prometheus exposition can never disagree.
+// GET /v1/stats plus the join histograms exposed on GET /metrics.
+// All handles come from one obs.Registry, so the stats endpoint and
+// the Prometheus exposition can never disagree. The request-level
+// families are the front's.
 type metrics struct {
-	reg *obs.Registry
+	*httpapi.Metrics
 
-	// requests is labeled by endpoint and status class, so a scrape
-	// can tell join 200s from join 504s without a cardinality
-	// explosion (status is the three-digit code as text).
-	requests *obs.CounterVec
-	latency  *obs.HistogramVec // sj_request_seconds{endpoint}
-	inFlight *obs.Gauge
-
-	joins           *obs.Counter
-	windows         *obs.Counter
-	errors          *obs.Counter
-	canceled        *obs.Counter
 	pairsStreamed   *obs.Counter
 	recordsStreamed *obs.Counter
 
-	// Binary-transport families: frames and payload+header bytes
-	// written to negotiated frame streams, by frame type
-	// (pairs/records/summary/error/end).
-	frames     *obs.CounterVec // sj_frames_total{type}
-	frameBytes *obs.CounterVec // sj_frame_bytes_total{type}
-
-	// Ingestion families: appends accepted, records written per
-	// relation, append wall time, compactions triggered, and the
-	// per-relation delta-log depth (distance to the next compaction).
-	appends       *obs.Counter
+	// Ingestion families: records written per relation, append wall
+	// time, compactions triggered, and the per-relation delta-log
+	// depth (distance to the next compaction).
 	ingestRecords *obs.CounterVec // sj_ingest_records_total{relation}
 	ingestLatency *obs.Histogram  // sj_ingest_seconds
 	compactions   *obs.Counter
@@ -60,43 +46,15 @@ var joinBuckets = []float64{
 	0.25, 0.5, 1, 2.5, 5, 10, 30, 60, 120,
 }
 
-// newMetrics registers the server's metric families on reg (a nil reg
-// gets a fresh registry — the embedded-server case with no scrape
-// endpoint wired up).
-func newMetrics(reg *obs.Registry) *metrics {
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
+// newMetrics registers the server's own metric families on reg, beside
+// the front's request-level families m.
+func newMetrics(reg *obs.Registry, m *httpapi.Metrics) *metrics {
 	return &metrics{
-		reg: reg,
-		requests: reg.CounterVec("sj_requests_total",
-			"HTTP requests served, by endpoint and status code.",
-			"endpoint", "status"),
-		latency: reg.HistogramVec("sj_request_seconds",
-			"HTTP request wall time in seconds, by endpoint.",
-			nil, "endpoint"),
-		inFlight: reg.Gauge("sj_requests_in_flight",
-			"Requests currently being served."),
-		joins: reg.Counter("sj_joins_total",
-			"Join requests accepted (before validation)."),
-		windows: reg.Counter("sj_windows_total",
-			"Window requests accepted (before validation)."),
-		errors: reg.Counter("sj_errors_total",
-			"Failed requests, excluding cancellations."),
-		canceled: reg.Counter("sj_canceled_total",
-			"Requests canceled by timeout or client disconnect."),
+		Metrics: m,
 		pairsStreamed: reg.Counter("sj_pairs_streamed_total",
 			"Result pairs written to join response streams."),
 		recordsStreamed: reg.Counter("sj_records_streamed_total",
 			"Records written to window response streams."),
-		frames: reg.CounterVec("sj_frames_total",
-			"Binary transport frames written, by frame type.",
-			"type"),
-		frameBytes: reg.CounterVec("sj_frame_bytes_total",
-			"Binary transport bytes written (headers included), by frame type.",
-			"type"),
-		appends: reg.Counter("sj_appends_total",
-			"Append requests accepted (before validation)."),
 		ingestRecords: reg.CounterVec("sj_ingest_records_total",
 			"Records appended to relations, by relation.",
 			"relation"),
@@ -120,17 +78,12 @@ func newMetrics(reg *obs.Registry) *metrics {
 
 // observeJoin records one successful join: the per-algorithm latency
 // histogram and EWMA, and the per-phase breakdown.
-func (m *metrics) observeJoin(algorithm string, elapsedSec float64, t phaseSeconds) {
-	m.joinLatency.With(algorithm).Observe(elapsedSec)
-	m.joinEWMA.Observe(algorithm, elapsedSec*1000)
-	m.phase.With("partition").Observe(t.partition)
-	m.phase.With("sweep").Observe(t.sweep)
-	m.phase.With("stream").Observe(t.stream)
-}
-
-// phaseSeconds carries one join's phase wall times, in seconds.
-type phaseSeconds struct {
-	partition, sweep, stream float64
+func (m *metrics) observeJoin(algorithm string, elapsed, partition, sweep, stream time.Duration) {
+	m.joinLatency.With(algorithm).Observe(elapsed.Seconds())
+	m.joinEWMA.Observe(algorithm, elapsed.Seconds()*1000)
+	m.phase.With("partition").Observe(partition.Seconds())
+	m.phase.With("sweep").Observe(sweep.Seconds())
+	m.phase.With("stream").Observe(stream.Seconds())
 }
 
 // observeIngest records one successful append against a relation:

@@ -1,20 +1,20 @@
-// Package server implements sjserved's HTTP layer: a long-lived
-// spatial-join query service over an in-memory unijoin.Catalog.
+// Package server is sjserved's backend: a long-lived spatial-join
+// query service over an in-memory unijoin.Catalog, served over HTTP by
+// the one front in internal/httpapi, the same front sjrouter serves a
+// shard fleet from.
 //
 // The catalog holds named, optionally pre-indexed relations resident
-// across requests; handlers execute joins through the public
-// Query(...).Run(ctx) API and window queries through
-// Relation.WindowQuery, streaming results as NDJSON (the wire types
-// live in the client package). Every request runs under a
-// context.Context assembled from the client's disconnect signal, the
-// server's per-request timeout ceiling, and an optional per-request
-// timeout, so an abandoned or over-budget query aborts mid-run with
-// ErrCanceled rather than burning the worker. Typed errors map onto
-// HTTP status codes: ErrNeedsIndex → 422, unknown relations → 404,
-// ErrCanceled → 504, malformed requests → 400.
+// across requests. Joins run through the public Query(...).Run(ctx)
+// API and window queries through Relation.WindowQuery; their results
+// stream in batches into the front's client-edge writer, as NDJSON
+// lines or binary frames. Engine errors come back typed for the wire:
+// ErrNeedsIndex → 422, unknown relations → 404, malformed requests →
+// 400, and a canceled query stays a context error, which the front
+// answers as 504.
 package server
 
 import (
+	"context"
 	"log/slog"
 	"net/http"
 	"time"
@@ -82,34 +82,26 @@ type Config struct {
 	WorkloadLo, WorkloadHi float64
 }
 
-// Server is the HTTP query service. Create with New, expose with
-// Handler, and run under any http.Server. All state a request touches
-// — the catalog, the metrics — is safe for concurrent use, so the
-// standard library's one-goroutine-per-request model needs no extra
-// coordination.
+// Server is the query service over one catalog. Create with New,
+// expose with Handler, and run under any http.Server. All state a
+// request touches — the catalog, the metrics — is safe for concurrent
+// use, so the standard library's one-goroutine-per-request model
+// needs no extra coordination.
 type Server struct {
-	cat     *unijoin.Catalog
-	timeout time.Duration
-	log     *slog.Logger
-	batch   int
-	stripe  *shard.Interval
-	start   time.Time
-	mux     *http.ServeMux
+	cat    *unijoin.Catalog
+	batch  int
+	stripe *shard.Interval
+	start  time.Time
+	front  *httpapi.Front
 
 	metrics  *metrics
-	traces   *obs.TraceStore
 	workload *obs.Workload
-	slow     time.Duration
 }
 
 // New builds a Server over cfg.Catalog.
 func New(cfg Config) *Server {
 	if cfg.Catalog == nil {
 		panic("server: Config.Catalog is required")
-	}
-	log := cfg.Logger
-	if log == nil {
-		log = slog.Default()
 	}
 	batch := cfg.BatchPairs
 	if batch <= 0 {
@@ -118,41 +110,36 @@ func New(cfg Config) *Server {
 	if batch > maxBatchPairs {
 		batch = maxBatchPairs
 	}
-	s := &Server{
-		cat:     cfg.Catalog,
-		timeout: cfg.Timeout,
-		log:     log,
-		batch:   batch,
-		stripe:  cfg.Stripe,
-		start:   time.Now(),
-		mux:     http.NewServeMux(),
-		metrics: newMetrics(cfg.Registry),
-		traces:  obs.NewTraceStore(cfg.Traces),
-		slow:    cfg.SlowQuery,
+	reg := cfg.Registry
+	if reg == nil {
+		reg = obs.NewRegistry()
 	}
-	s.workload = obs.NewWorkload(s.metrics.reg, cfg.WorkloadLo, cfg.WorkloadHi, obs.DefaultWorkloadBuckets)
-	// The exposition endpoint is deliberately uninstrumented: scrapes
-	// should not move the request counters they report.
-	s.mux.Handle("GET /metrics", s.metrics.reg.Handler())
-	s.mux.Handle("GET /v1/healthz", s.instrument("healthz", s.handleHealthz))
-	s.mux.Handle("GET /v1/relations", s.instrument("relations", s.handleRelations))
-	s.mux.Handle("GET /v1/stats", s.instrument("stats", s.handleStats))
-	s.mux.Handle("GET /v1/traces", s.instrument("traces", httpapi.TracesHandler(s.traces)))
-	s.mux.Handle("GET /v1/traces/{id}", s.instrument("traces", httpapi.TraceByIDHandler(s.traces)))
-	s.mux.Handle("POST /v1/join", s.instrument("join", s.withTimeout(s.handleJoin)))
-	s.mux.Handle("POST /v1/window", s.instrument("window", s.withTimeout(s.handleWindow)))
-	s.mux.Handle("POST /v1/relations/{relation}/records", s.instrument("append", s.withTimeout(s.handleAppend)))
-	s.mux.Handle("/", s.instrument("notfound", func(w http.ResponseWriter, r *http.Request) {
-		httpapi.WriteError(w, &client.APIError{
-			Status: http.StatusNotFound, Code: client.CodeNotFound,
-			Message: "no such endpoint: " + r.Method + " " + r.URL.Path,
-		})
-	}))
+	s := &Server{
+		cat:      cfg.Catalog,
+		batch:    batch,
+		stripe:   cfg.Stripe,
+		start:    time.Now(),
+		workload: obs.NewWorkload(reg, cfg.WorkloadLo, cfg.WorkloadHi, obs.DefaultWorkloadBuckets),
+	}
+	s.front = httpapi.New(httpapi.Config{
+		Backend: backend{s}, Registry: reg, Timeout: cfg.Timeout, Logger: cfg.Logger,
+		Traces: cfg.Traces, SlowQuery: cfg.SlowQuery,
+	})
+	s.metrics = newMetrics(reg, s.front.Metrics())
 	return s
 }
 
 // Handler returns the service's HTTP handler, middleware included.
-func (s *Server) Handler() http.Handler { return s.mux }
+func (s *Server) Handler() http.Handler { return s.front.Handler() }
+
+// backend is the Server as the front's Backend. Server.Stats keeps its
+// in-process signature, so the Backend's Stats lives here.
+type backend struct{ *Server }
+
+func (b backend) Stats(context.Context) (*client.Stats, error) {
+	stats := b.Server.Stats()
+	return &stats, nil
+}
 
 // stripeDTO returns the server's stripe in wire form (nil when the
 // process serves the whole universe).
@@ -169,7 +156,7 @@ func (s *Server) Stats() client.Stats {
 	// completes (its status is unknown before then), so accepted
 	// requests — the old entry-time semantics, which count the stats
 	// request reading this — are completed + in-flight.
-	inFlight := int64(s.metrics.inFlight.Value())
+	inFlight := int64(s.metrics.InFlight.Value())
 	// The delta gauge is recomputed from the catalog at read time, so
 	// it reflects compactions and reloads, not just the last append.
 	var delta int64
@@ -182,15 +169,15 @@ func (s *Server) Stats() client.Stats {
 		Stripe:                s.stripeDTO(),
 		UptimeSeconds:         time.Since(s.start).Seconds(),
 		Relations:             s.cat.Len(),
-		Requests:              s.metrics.requests.Total() + inFlight,
+		Requests:              s.metrics.Requests.Total() + inFlight,
 		InFlight:              inFlight,
-		Joins:                 s.metrics.joins.Value(),
-		Windows:               s.metrics.windows.Value(),
-		Errors:                s.metrics.errors.Value(),
-		Canceled:              s.metrics.canceled.Value(),
+		Joins:                 s.metrics.Joins.Value(),
+		Windows:               s.metrics.Windows.Value(),
+		Errors:                s.metrics.Errors.Value(),
+		Canceled:              s.metrics.Canceled.Value(),
 		PairsStreamed:         s.metrics.pairsStreamed.Value(),
 		RecordsStreamed:       s.metrics.recordsStreamed.Value(),
-		Appends:               s.metrics.appends.Value(),
+		Appends:               s.metrics.Appends.Value(),
 		RecordsIngested:       s.metrics.ingestRecords.Total(),
 		Compactions:           s.metrics.compactions.Value(),
 		DeltaRecords:          delta,

@@ -12,19 +12,22 @@ import (
 
 	"unijoin/client"
 	"unijoin/internal/geom"
+	"unijoin/internal/httpapi"
 	"unijoin/internal/obs"
 )
 
 // Router fans queries out to a fleet of sjserved shard endpoints and
 // gathers the results: join and window streams are merged as shard
 // frames arrive, and per-shard summaries are summed into one
-// response. Every router→shard leg speaks binary frames, whatever the
-// router's own client speaks; NDJSON exists only at the client edge
-// (Service). Because each shard filters its output by its ownership
-// interval, the merged pair and record sets are exact and
-// duplicate-free — the distributed run returns precisely the
-// single-process answer, for every join algorithm. A Router is safe
-// for concurrent use.
+// response. It is the routed httpapi.Backend, served by Service.
+// Every router→shard leg speaks binary frames, whatever the router's
+// own client speaks; NDJSON exists only at the client edge
+// (httpapi.Stream). Every error it returns is a *client.APIError
+// naming the failing shard, or a context error. Because each shard
+// filters its output by its ownership interval, the merged pair and
+// record sets are exact and duplicate-free — the distributed run
+// returns precisely the single-process answer, for every join
+// algorithm. A Router is safe for concurrent use.
 type Router struct {
 	endpoints []string
 	clients   []*client.Client
@@ -97,9 +100,9 @@ func NewRouter(endpoints []string, httpClient *http.Client) (*Router, error) {
 	return r, nil
 }
 
-// Registry exposes the router's metric registry so the serving layer
-// (internal/shard.Service) can add its own request families and serve
-// one /metrics for the whole process.
+// Registry exposes the router's metric registry so the front
+// (Service) can add its request families and serve one /metrics for
+// the whole process.
 func (r *Router) Registry() *obs.Registry { return r.obs.reg }
 
 // Shards returns the number of downstream shard endpoints.
@@ -129,7 +132,7 @@ func (r *Router) scatter(ctx context.Context, fn func(ctx context.Context, i int
 			r.obs.inFlight.With(ep).Add(-1)
 			r.obs.observe(ep, time.Since(start), err)
 			if err != nil {
-				errs[i] = fmt.Errorf("shard %d (%s): %w", i, ep, err)
+				errs[i] = legError(i, ep, err)
 				cancel()
 			}
 		}(i, cl)
@@ -150,6 +153,51 @@ func (r *Router) scatter(ctx context.Context, fn func(ctx context.Context, i int
 	return firstErr
 }
 
+// leg is the per-shard body of a scatter call that answers a value.
+type leg[T any] func(ctx context.Context, i int, cl *client.Client) (T, error)
+
+// each runs call once per shard concurrently, like scatter, and
+// returns the answers in endpoint order.
+func each[T any](ctx context.Context, r *Router, call leg[T]) ([]T, error) {
+	out := make([]T, len(r.clients))
+	err := r.scatter(ctx, func(ctx context.Context, i int, cl *client.Client) error {
+		v, err := call(ctx, i, cl)
+		out[i] = v
+		return err
+	})
+	return out, err
+}
+
+// shardStats fetches every shard's /v1/stats, in endpoint order.
+func (r *Router) shardStats(ctx context.Context) ([]*client.Stats, error) {
+	return each(ctx, r, func(ctx context.Context, _ int, cl *client.Client) (*client.Stats, error) {
+		return cl.Stats(ctx)
+	})
+}
+
+// legError names the failing shard in a leg's error and types it for
+// the wire: a shard's own *APIError keeps its status and code, with
+// the shard prefixed to its message; a cancellation stays a context
+// error; anything else — an unreachable shard, a transport failure —
+// is a 502.
+func legError(i int, ep string, err error) error {
+	var apiErr *client.APIError
+	switch {
+	case errors.As(err, &apiErr):
+		return &client.APIError{
+			Status: apiErr.Status, Code: apiErr.Code,
+			Message: fmt.Sprintf("shard %d (%s): %s", i, ep, apiErr.Message),
+		}
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		return fmt.Errorf("shard %d (%s): %w", i, ep, err)
+	default:
+		return &client.APIError{
+			Status: http.StatusBadGateway, Code: client.CodeUnavailable,
+			Message: fmt.Sprintf("shard %d (%s): %v", i, ep, err),
+		}
+	}
+}
+
 // Health checks every shard's liveness probe, returning nil only when
 // the whole fleet is up.
 func (r *Router) Health(ctx context.Context) error {
@@ -163,16 +211,8 @@ func (r *Router) Health(ctx context.Context) error {
 // report a -stripe interval, with the intervals tiling the x-axis —
 // otherwise the fleet would drop or double-count pairs. It returns
 // each shard's stats (in endpoint order) for logging.
-func (r *Router) Verify(ctx context.Context) ([]client.Stats, error) {
-	stats := make([]client.Stats, len(r.clients))
-	err := r.scatter(ctx, func(ctx context.Context, i int, cl *client.Client) error {
-		s, err := cl.Stats(ctx)
-		if err != nil {
-			return err
-		}
-		stats[i] = *s
-		return nil
-	})
+func (r *Router) Verify(ctx context.Context) ([]*client.Stats, error) {
+	stats, err := r.shardStats(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -201,42 +241,49 @@ func (r *Router) Verify(ctx context.Context) ([]client.Stats, error) {
 	return stats, nil
 }
 
-// Join scatters the join to every shard and merges their streams.
-// Every leg runs over binary frames: onFrame (nil for a count-only
-// query) receives each shard's PAIRS frames as their exact wire bytes,
-// unverified and valid only until it returns — the router never
-// decodes or re-encodes a pair; only the terminal SUMMARY/ERROR frames
-// are parsed for merging. Frames from different shards interleave,
-// serialized one whole frame at a time, so cross-shard arrival order
-// is not deterministic, but the merged set and the summed count are
-// exact. An error from onFrame fails the query like a failing shard.
-// The caller picks the client's transport: relay the frames, or
-// decode them into NDJSON at the edge (Service does both). The summary
-// sums Pairs and the per-shard record counts (boundary-crossing
-// records count once per shard that loaded them) and reports the
-// slowest shard's elapsed time.
-func (r *Router) Join(ctx context.Context, req client.JoinRequest, onFrame func(raw []byte) error) (*client.JoinSummary, error) {
-	return r.join(ctx, req, onFrame, nil)
+// Join scatters the join to every shard and merges their streams into
+// out. Every leg runs over binary frames: each shard's PAIRS frames go
+// to out.Relay as their exact wire bytes, unverified — a frame client
+// gets them verbatim, and only the NDJSON edge decodes them; the
+// router itself never decodes or re-encodes a pair, and parses only
+// the terminal SUMMARY/ERROR frames for merging. Frames from
+// different shards interleave, serialized one whole frame at a time,
+// so cross-shard arrival order is not deterministic, but the merged
+// set and the summed count are exact. A relay error fails the query
+// like a failing shard. The summary sums Pairs and the per-shard
+// record counts (boundary-crossing records count once per shard that
+// loaded them) and reports the slowest shard's elapsed time. The span
+// tree is router.join, with one scatter span per leg grafting the
+// shard's own server.join tree when the request asked for a trace.
+func (r *Router) Join(ctx context.Context, req client.JoinRequest, out *httpapi.Stream) (*client.JoinSummary, *obs.Span, error) {
+	ct := r.newCallTrace()
+	sums, err := gather(ctx, r, ct, req, relay(out, req.CountOnly), (*client.Client).JoinRawFrames)
+	if err != nil {
+		return nil, nil, err
+	}
+	for i, s := range sums {
+		ct.calls[i].Spans = s.Spans
+	}
+	sum := mergeJoinSummaries(sums)
+	root := ct.root("router.join")
+	root.SetAttr("left", req.Left).SetAttr("right", req.Right).
+		SetAttr("algorithm", sum.Algorithm)
+	return sum, root, nil
 }
 
-// join is Join with optional per-leg tracing (ct may be nil).
-func (r *Router) join(ctx context.Context, req client.JoinRequest, onFrame func(raw []byte) error, ct *callTrace) (*client.JoinSummary, error) {
-	sums, err := gather(ctx, r, ct, req, onFrame, (*client.Client).JoinRawFrames)
-	if err != nil {
-		return nil, err
+// relay is a query's DATA frame callback: none for a count-only
+// query, which streams no frames.
+func relay(out *httpapi.Stream, countOnly bool) func(raw []byte) error {
+	if countOnly {
+		return nil
 	}
-	if ct != nil {
-		for i, s := range sums {
-			ct.calls[i].Spans = s.Spans
-		}
-	}
-	return mergeJoinSummaries(sums), nil
+	return out.Relay
 }
 
 // gather runs one frame-stream leg per shard, serializing the legs'
 // onFrame calls, and returns the shards' summaries in endpoint order.
 func gather[Q, S any](ctx context.Context, r *Router, ct *callTrace, req Q, onFrame func(raw []byte) error,
-	leg func(*client.Client, context.Context, Q, func(raw []byte) error) (*S, error)) ([]*S, error) {
+	stream func(*client.Client, context.Context, Q, func(raw []byte) error) (*S, error)) ([]*S, error) {
 	var mu sync.Mutex
 	serial := onFrame
 	if onFrame != nil {
@@ -246,31 +293,20 @@ func gather[Q, S any](ctx context.Context, r *Router, ct *callTrace, req Q, onFr
 			return onFrame(raw)
 		}
 	}
-	sums := make([]*S, len(r.clients))
-	err := r.scatter(ctx, r.traced(ct, func(ctx context.Context, i int, cl *client.Client) error {
-		s, err := leg(cl, ctx, req, serial)
-		sums[i] = s
-		return err
+	return each(ctx, r, traced(r, ct, func(ctx context.Context, _ int, cl *client.Client) (*S, error) {
+		return stream(cl, ctx, req, serial)
 	}))
-	return sums, err
 }
 
 // mergeJoinSummaries sums the per-shard summaries: Pairs and record
 // counts add (boundary-crossing records count once per shard that
-// loaded them), the elapsed time is the slowest shard's, and traces
-// merge per phase by maximum.
+// loaded them), and the elapsed time is the slowest shard's.
 func mergeJoinSummaries(sums []*client.JoinSummary) *client.JoinSummary {
 	merged := *sums[0]
-	// A shard's span tree describes that shard alone; the serving
-	// layer replaces it with the router's own tree (scatter legs with
-	// the shard trees grafted underneath), so shard 0's must not leak.
-	merged.Spans = nil
-	if merged.Trace != nil {
-		// Clone: the merge below mutates the trace, which must not
-		// alias the first shard's summary.
-		t := *merged.Trace
-		merged.Trace = &t
-	}
+	// A shard's trace describes that shard alone; the front derives
+	// both from the router's own tree (scatter legs with the shard
+	// trees grafted underneath), so shard 0's must not leak.
+	merged.Trace, merged.Spans = nil, nil
 	for _, s := range sums[1:] {
 		merged.Pairs += s.Pairs
 		merged.LeftRecords += s.LeftRecords
@@ -278,43 +314,25 @@ func mergeJoinSummaries(sums []*client.JoinSummary) *client.JoinSummary {
 		if s.ElapsedMillis > merged.ElapsedMillis {
 			merged.ElapsedMillis = s.ElapsedMillis
 		}
-		merged.Trace = mergeTraces(merged.Trace, s.Trace)
 	}
 	return &merged
 }
 
-// mergeTraces combines per-shard phase traces the way ElapsedMillis
-// merges: per phase, the slowest shard. The shards run concurrently,
-// so the maximum — not the sum — is what the client actually waited.
-func mergeTraces(a, b *client.PhaseTrace) *client.PhaseTrace {
-	if b == nil {
-		return a
-	}
-	if a == nil {
-		t := *b
-		return &t
-	}
-	a.PartitionMillis = math.Max(a.PartitionMillis, b.PartitionMillis)
-	a.SweepMillis = math.Max(a.SweepMillis, b.SweepMillis)
-	a.StreamMillis = math.Max(a.StreamMillis, b.StreamMillis)
-	return a
-}
-
-// Window scatters the window query and merges the record streams,
-// mirroring Join with RECORDS frames: counts sum exactly, Indexed
+// Window scatters the window query and merges the record streams into
+// out, mirroring Join with RECORDS frames: counts sum exactly, Indexed
 // reports whether every shard answered through an R-tree, and the
-// elapsed time is the slowest shard's.
-func (r *Router) Window(ctx context.Context, req client.WindowRequest, onFrame func(raw []byte) error) (*client.WindowSummary, error) {
-	return r.window(ctx, req, onFrame, nil)
-}
-
-// window is Window with optional per-leg tracing.
-func (r *Router) window(ctx context.Context, req client.WindowRequest, onFrame func(raw []byte) error, ct *callTrace) (*client.WindowSummary, error) {
-	sums, err := gather(ctx, r, ct, req, onFrame, (*client.Client).WindowRawFrames)
+// elapsed time is the slowest shard's. The span tree is
+// router.window with one scatter span per leg.
+func (r *Router) Window(ctx context.Context, req client.WindowRequest, out *httpapi.Stream) (*client.WindowSummary, *obs.Span, error) {
+	ct := r.newCallTrace()
+	sums, err := gather(ctx, r, ct, req, relay(out, req.CountOnly), (*client.Client).WindowRawFrames)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return mergeWindowSummaries(sums), nil
+	sum := mergeWindowSummaries(sums)
+	root := ct.root("router.window")
+	root.SetAttr("relation", req.Relation)
+	return sum, root, nil
 }
 
 // mergeWindowSummaries sums the per-shard summaries: record counts
@@ -340,15 +358,7 @@ func (r *Router) stripes(ctx context.Context) ([]Interval, error) {
 	if r.stripeIvs != nil {
 		return r.stripeIvs, nil
 	}
-	stats := make([]client.Stats, len(r.clients))
-	err := r.scatter(ctx, func(ctx context.Context, i int, cl *client.Client) error {
-		s, err := cl.Stats(ctx)
-		if err != nil {
-			return err
-		}
-		stats[i] = *s
-		return nil
-	})
+	stats, err := r.shardStats(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -396,14 +406,8 @@ func (r *Router) Append(ctx context.Context, relation string, recs []client.Reco
 			}
 		}
 	}
-	sums := make([]*client.AppendSummary, len(r.clients))
-	err = r.scatter(ctx, func(ctx context.Context, i int, cl *client.Client) error {
-		s, err := cl.AppendRecords(ctx, relation, batches[i])
-		if err != nil {
-			return err
-		}
-		sums[i] = s
-		return nil
+	sums, err := each(ctx, r, func(ctx context.Context, i int, cl *client.Client) (*client.AppendSummary, error) {
+		return cl.AppendRecords(ctx, relation, batches[i])
 	})
 	if err != nil {
 		return nil, err
@@ -430,14 +434,8 @@ func (r *Router) Append(ctx context.Context, relation string, recs []client.Reco
 // the MBR is the union of the shard slices, and Shards counts how
 // many shards hold the relation.
 func (r *Router) Relations(ctx context.Context) ([]client.RelationInfo, error) {
-	lists := make([][]client.RelationInfo, len(r.clients))
-	err := r.scatter(ctx, func(ctx context.Context, i int, cl *client.Client) error {
-		l, err := cl.Relations(ctx)
-		if err != nil {
-			return err
-		}
-		lists[i] = l
-		return nil
+	lists, err := each(ctx, r, func(ctx context.Context, _ int, cl *client.Client) ([]client.RelationInfo, error) {
+		return cl.Relations(ctx)
 	})
 	if err != nil {
 		return nil, err
@@ -476,15 +474,7 @@ func (r *Router) Relations(ctx context.Context) ([]client.RelationInfo, error) {
 // catalog; UptimeSeconds is the youngest shard's (how long the whole
 // fleet has been up); Shards is the fleet size.
 func (r *Router) Stats(ctx context.Context) (*client.Stats, error) {
-	stats := make([]client.Stats, len(r.clients))
-	err := r.scatter(ctx, func(ctx context.Context, i int, cl *client.Client) error {
-		s, err := cl.Stats(ctx)
-		if err != nil {
-			return err
-		}
-		stats[i] = *s
-		return nil
-	})
+	stats, err := r.shardStats(ctx)
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package shard_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http/httptest"
@@ -13,6 +14,7 @@ import (
 	"unijoin/internal/datagen"
 	"unijoin/internal/server"
 	"unijoin/internal/shard"
+	"unijoin/internal/wire"
 )
 
 var universe = unijoin.NewRect(0, 0, 1000, 1000)
@@ -325,5 +327,47 @@ func TestRouterMetadataAndErrors(t *testing.T) {
 	}
 	if _, err := lone.Verify(ctx); err == nil {
 		t.Fatal("single bounded-stripe shard passed verification")
+	}
+}
+
+// TestRoutedErrorText pins the exact text of a routed failure: the
+// router prefixes the failing shard to the shard's own message, so the
+// client's error carries one "sjserved:" prefix and one status suffix,
+// on both transports.
+func TestRoutedErrorText(t *testing.T) {
+	rels := map[string][]unijoin.Record{
+		"a": datagen.Uniform(7, 300, universe, 25),
+		"b": datagen.Uniform(8, 200, universe, 25),
+	}
+	plan, err := shard.PlanFromBoundaries(universe, []unijoin.Coord{333, 666})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, router, _ := startFleet(t, plan, []string{"a", "b"}, rels, true)
+	// Every shard rejects the query; which one the router reports
+	// depends on which answered first.
+	want := map[string]bool{}
+	for i, ep := range router.Endpoints() {
+		want[fmt.Sprintf(`sjserved: shard %d (%s): right relation "nope" is not in the catalog (404 not_found)`, i, ep)] = true
+	}
+	for _, binary := range []bool{false, true} {
+		cl.PreferBinary = binary
+		_, err := cl.JoinCount(context.Background(), client.JoinRequest{Left: "a", Right: "nope"})
+		if err == nil || !want[err.Error()] {
+			t.Fatalf("binary=%v: routed unknown-relation error = %v, want one of %v", binary, err, want)
+		}
+	}
+
+	// A shard stream the router itself finds broken reads the same way.
+	stub := frameShardStub(t, wire.AppendFrame(nil, wire.TypePairs, make([]byte, wire.PairSize)))
+	lone, err := shard.NewRouter([]string{stub}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(shard.NewService(shard.ServiceConfig{Router: lone, Logger: discard()}).Handler())
+	t.Cleanup(front.Close)
+	_, err = client.New(front.URL, nil).JoinCount(context.Background(), client.JoinRequest{Left: "a", Right: "b"})
+	if got, want := fmt.Sprint(err), "sjserved: shard 0 ("+stub+"): frame stream ended without an END frame (500 internal)"; got != want {
+		t.Fatalf("truncated shard stream error = %q, want %q", got, want)
 	}
 }

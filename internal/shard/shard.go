@@ -27,16 +27,18 @@
 //
 // Plan computes and describes the stripes; Interval is one shard's
 // ownership range (sjserved's -stripe flag); Router scatters a
-// request to K sjserved shard endpoints and gathers their streams;
-// Service is the HTTP front that makes a Router a drop-in
-// replacement for a single sjserved (cmd/sjrouter wraps it).
+// request to K sjserved shard endpoints and gathers their streams. A
+// Router is an httpapi.Backend, so sjrouter serves it from the same
+// HTTP front sjserved serves its catalog from; Service is that
+// front's constructor (cmd/sjrouter wraps it), and a Router is a
+// drop-in replacement for a single sjserved.
 //
 // Router→shard legs always speak the binary frame transport
 // (internal/wire), whatever the router's own client asked for. The
 // router relays shard frames untouched to a client that negotiated
-// frames, and decodes them into NDJSON lines only at its client edge
-// for every other client, so a routed pair is never JSON-encoded by a
-// shard or parsed back by the router.
+// frames, and the front's client edge (httpapi.Stream) decodes them
+// into NDJSON lines for every other client, so a routed pair is never
+// JSON-encoded by a shard or parsed back by the router.
 package shard
 
 import (

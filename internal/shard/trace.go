@@ -8,9 +8,6 @@ import (
 	"unijoin/internal/obs"
 )
 
-// scatterFunc is the per-shard body of a scatter call.
-type scatterFunc = func(ctx context.Context, i int, cl *client.Client) error
-
 // ShardCall records one scatter leg of a traced request: the endpoint
 // it hit, when the leg started and how long it ran on the router's
 // clock, the span tree the shard returned in its summary (traced
@@ -28,13 +25,15 @@ type ShardCall struct {
 // so each shard's own trace records which scatter leg called it — the
 // cross-process edge that joins the two trees.
 type callTrace struct {
+	start time.Time
 	ids   []string
 	calls []ShardCall
 }
 
-// newCallTrace sizes a call trace for the router's fleet.
+// newCallTrace starts a call trace sized for the router's fleet.
 func (r *Router) newCallTrace() *callTrace {
 	ct := &callTrace{
+		start: time.Now(),
 		ids:   make([]string, len(r.clients)),
 		calls: make([]ShardCall, len(r.clients)),
 	}
@@ -45,27 +44,28 @@ func (r *Router) newCallTrace() *callTrace {
 }
 
 // traced wraps a scatter body to record the leg into ct and propagate
-// the leg's span ID downstream. A nil ct returns fn unchanged, so the
-// untraced paths pay nothing.
-func (r *Router) traced(ct *callTrace, fn scatterFunc) scatterFunc {
-	if ct == nil {
-		return fn
-	}
-	return func(ctx context.Context, i int, cl *client.Client) error {
+// the leg's span ID downstream.
+func traced[T any](r *Router, ct *callTrace, fn leg[T]) leg[T] {
+	return func(ctx context.Context, i int, cl *client.Client) (T, error) {
 		c := &ct.calls[i]
 		c.Endpoint = r.endpoints[i]
 		c.Start = time.Now()
-		err := fn(client.WithParentSpan(ctx, ct.ids[i]), i, cl)
+		v, err := fn(client.WithParentSpan(ctx, ct.ids[i]), i, cl)
 		c.Elapsed = time.Since(c.Start)
 		c.Err = err
-		return err
+		return v, err
 	}
 }
 
-// attach builds the root's scatter children from a completed call
-// trace: one "scatter" span per shard leg, carrying the endpoint as
-// its shard attribute and grafting the span tree the shard returned.
-func (ct *callTrace) attach(root *obs.Span) {
+// root closes a completed call trace into the request's span tree: a
+// root named name that wraps the whole scatter, with one "scatter"
+// child per shard leg, carrying the endpoint as its shard attribute
+// and grafting the span tree the shard returned.
+func (ct *callTrace) root(name string) *obs.Span {
+	root := &obs.Span{
+		ID: obs.NewSpanID(), Name: name,
+		Start: ct.start, Duration: time.Since(ct.start),
+	}
 	for i := range ct.calls {
 		c := &ct.calls[i]
 		child := &obs.Span{
@@ -81,6 +81,7 @@ func (ct *callTrace) attach(root *obs.Span) {
 		}
 		root.Children = append(root.Children, child)
 	}
+	return root
 }
 
 // obsSpanFromDTO rebases a shard's wire span tree onto base — the

@@ -506,10 +506,10 @@ func (w *Workspace) universeFor(fallback Rect) Rect {
 // JoinOptions is the knob block behind a Query: every field has a
 // builder method (Query.Window, Query.Parallelism, ...) and a
 // functional option (WithWindow, WithParallelism, ...), which are the
-// primary ways to set it — build a Query with ws.Query(a, b), not a
-// JoinOptions literal. The struct itself survives as the parameter
-// block of the deprecated Join/ParallelJoin wrappers. Fields mirror
-// the paper's experimental knobs; the zero value means defaults.
+// ways to set it for a two-way join — build a Query with
+// ws.Query(a, b), not a JoinOptions literal. The struct itself is the
+// parameter block of MultiwayJoin. Fields mirror the paper's
+// experimental knobs; the zero value means defaults.
 type JoinOptions struct {
 	// MemoryBytes is the simulated internal memory (default 24 MB).
 	MemoryBytes int
@@ -533,8 +533,7 @@ type JoinOptions struct {
 	ParallelPartitions int
 	// Emit receives each result pair as the join finds it; see
 	// Query.Emit for where pairs go when it is nil (Query.Run buffers
-	// them for Results.Pairs unless CountOnly is set; the deprecated
-	// Join wrapper counts only). AlgParallel calls Emit on the
+	// them for Results.Pairs unless CountOnly is set). AlgParallel calls Emit on the
 	// caller's goroutine in deterministic partition order after the
 	// concurrent phase, so the callback need not be thread-safe.
 	Emit func(Pair)
@@ -543,51 +542,8 @@ type JoinOptions struct {
 	EmitBatch func([]Pair)
 
 	// owner is the pair-ownership range set by Query.Owner. It is
-	// unexported so only a Query can carry it: the deprecated wrappers
-	// and MultiwayJoin cannot.
+	// unexported so only a Query can carry it: MultiwayJoin cannot.
 	owner *geom.XRange
-}
-
-// Join runs the selected algorithm on two relations. Requirements:
-// AlgST needs both relations indexed; AlgSSSJ/AlgPBSM ignore indexes;
-// AlgPQ uses an index when present; AlgAuto decides per side.
-//
-// Deprecated: build a Query instead — ws.Query(a, b).Algorithm(alg).
-// Run(ctx) — which adds context cancellation, the Pairs iterator, and
-// typed errors. Join runs the same code with context.Background() and
-// never buffers pairs (CountOnly semantics unless opts.Emit or
-// opts.EmitBatch is set).
-func (w *Workspace) Join(alg Algorithm, a, b *Relation, opts *JoinOptions) (JoinResult, error) {
-	q := w.Query(a, b).Algorithm(alg).CountOnly()
-	if opts != nil {
-		q.opts = *opts
-	}
-	res, err := q.Run(context.Background())
-	if err != nil {
-		return JoinResult{}, err
-	}
-	return res.JoinResult, nil
-}
-
-// ParallelJoin runs the multicore in-memory engine on two relations;
-// see AlgParallel. The JoinResult mirrors the serial algorithms'
-// report — HostCPU is the engine's wall-clock time — and the Parallel
-// field carries the detailed scaling statistics. Indexes are ignored;
-// Window and Emit behave as in the serial joins.
-//
-// Deprecated: build a Query instead — ws.Query(a, b).
-// Algorithm(AlgParallel).Parallelism(n).Run(ctx) — and read the
-// report from Results.Parallel.
-func (w *Workspace) ParallelJoin(a, b *Relation, opts *JoinOptions) (ParallelResult, error) {
-	q := w.Query(a, b).Algorithm(AlgParallel).CountOnly()
-	if opts != nil {
-		q.opts = *opts
-	}
-	res, err := q.Run(context.Background())
-	if err != nil {
-		return ParallelResult{}, err
-	}
-	return ParallelResult{JoinResult: res.JoinResult, Parallel: *res.Parallel}, nil
 }
 
 // MultiwayJoin computes the k-way intersection join of the relations
